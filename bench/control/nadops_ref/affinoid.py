@@ -1,0 +1,549 @@
+"""Sparse polynomials over the exact scalars, with polydisc norms.
+
+A function on a polydisc is represented at truncation level by a sparse
+multivariate polynomial: a mapping from exponent tuples to nonzero Scalars.
+That makes the Gauss norm (the minimum coefficient valuation) exact, and the
+sup norm over any sub-polydisc exact as well: substitute x = c + sigma*y and
+take the Gauss norm of the result.
+
+Multi-indices are plain tuples of naturals; the helpers here are the only
+place componentwise order, factorials and binomials are spelled out.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Iterator, Mapping, Union
+
+from .scalars import Field, NormValue, Rational, Scalar, parse_scalar
+
+MultiIndex = tuple[int, ...]
+
+
+# ---------------------------------------------------------------------------
+# multi-index helpers
+
+
+def mi_total(a: MultiIndex) -> int:
+    return sum(a)
+
+def mi_le(a: MultiIndex, b: MultiIndex) -> bool:
+    """Componentwise order (the order divided powers are indexed by)."""
+    return all(x <= y for x, y in zip(a, b))
+
+def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    return tuple(x + y for x, y in zip(a, b))
+
+def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    out = tuple(x - y for x, y in zip(a, b))
+    if any(x < 0 for x in out):
+        raise ValueError(f"multi-index subtraction underflow: {a} - {b}")
+    return out
+
+def mi_factorial(a: MultiIndex) -> int:
+    out = 1
+    for x in a:
+        out *= math.factorial(x)
+    return out
+
+def mi_binomial(a: MultiIndex, b: MultiIndex) -> int:
+    """Product of componentwise binomials; zero unless b <= a."""
+    out = 1
+    for x, y in zip(a, b):
+        if y > x:
+            return 0
+        out *= math.comb(x, y)
+    return out
+
+def mi_falling(b: MultiIndex, a: MultiIndex) -> int:
+    """prod b_i! / (b_i - a_i)!, the coefficient of a plain derivative; zero unless a <= b."""
+    out = 1
+    for x, y in zip(b, a):
+        if y > x:
+            return 0
+        out *= math.perm(x, y)
+    return out
+
+def mi_box(a: MultiIndex) -> Iterator[MultiIndex]:
+    """All indices <= a componentwise."""
+    return itertools.product(*(range(x + 1) for x in a))
+
+def mi_with_total(dim: int, total: int) -> Iterator[MultiIndex]:
+    if dim == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in mi_with_total(dim - 1, total - head):
+            yield (head,) + tail
+
+def mi_up_to_total(dim: int, cap: int) -> Iterator[MultiIndex]:
+    """All indices with |a| <= cap, in graded order."""
+    for total in range(cap + 1):
+        yield from mi_with_total(dim, total)
+
+
+# ---------------------------------------------------------------------------
+# sparse polynomials
+
+
+@dataclass(frozen=True, eq=False)
+class SparsePoly:
+    """A polynomial with Scalar coefficients, keyed by exponent tuple.
+
+    Invariant: every stored coefficient is nonzero, every key has length
+    ``dim``, and every coefficient lives in ``field``.  Instances are treated
+    as immutable; all operations return new objects.
+    """
+
+    field: Field
+    dim: int
+    coeffs: Mapping[MultiIndex, Scalar]
+
+    @classmethod
+    def make(cls, field: Field, dim: int,
+             items: Mapping[MultiIndex, Scalar] | Iterable[tuple[MultiIndex, Scalar]]) -> "SparsePoly":
+        pairs = items.items() if isinstance(items, Mapping) else items
+        acc: dict[MultiIndex, Scalar] = {}
+        for exponent, coeff in pairs:
+            exponent = tuple(exponent)
+            if len(exponent) != dim or any(e < 0 for e in exponent):
+                raise ValueError(f"bad exponent {exponent} for dimension {dim}")
+            if coeff.field != field:
+                raise ValueError("coefficient from a different backend")
+            total = acc.get(exponent)
+            coeff = coeff if total is None else total + coeff
+            if coeff.is_zero:
+                acc.pop(exponent, None)
+            else:
+                acc[exponent] = coeff
+        return cls(field, dim, acc)
+
+    @classmethod
+    def zero(cls, field: Field, dim: int) -> "SparsePoly":
+        return cls(field, dim, {})
+
+    @classmethod
+    def constant(cls, field: Field, dim: int, value: Scalar | Rational) -> "SparsePoly":
+        if not isinstance(value, Scalar):
+            value = field.from_rational(value)
+        return cls.make(field, dim, {(0,) * dim: value})
+
+    @classmethod
+    def monomial(cls, field: Field, dim: int, exponent: MultiIndex,
+                 value: Scalar | Rational = 1) -> "SparsePoly":
+        if not isinstance(value, Scalar):
+            value = field.from_rational(value)
+        return cls.make(field, dim, {tuple(exponent): value})
+
+    @classmethod
+    def variable(cls, field: Field, dim: int, i: int) -> "SparsePoly":
+        exponent = tuple(1 if j == i else 0 for j in range(dim))
+        return cls.monomial(field, dim, exponent)
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((mi_total(e) for e in self.coeffs), default=-1)
+
+    def coefficient(self, exponent: MultiIndex) -> Scalar:
+        return self.coeffs.get(tuple(exponent), self.field.zero())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return (self.field, self.dim, dict(self.coeffs)) == (other.field, other.dim, dict(other.coeffs))
+
+    def _check_compatible(self, other: "SparsePoly") -> None:
+        if self.field != other.field or self.dim != other.dim:
+            raise ValueError("polynomials live over different backends or dimensions")
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        self._check_compatible(other)
+        acc = dict(self.coeffs)
+        for exponent, coeff in other.coeffs.items():
+            total = acc.get(exponent)
+            coeff = coeff if total is None else total + coeff
+            if coeff.is_zero:
+                acc.pop(exponent, None)
+            else:
+                acc[exponent] = coeff
+        return SparsePoly(self.field, self.dim, acc)
+
+    def __neg__(self) -> "SparsePoly":
+        return SparsePoly(self.field, self.dim, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
+        return self + (-other)
+
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        self._check_compatible(other)
+        acc: dict[MultiIndex, Scalar] = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                key = mi_add(ea, eb)
+                term = ca * cb
+                total = acc.get(key)
+                term = term if total is None else total + term
+                if term.is_zero:
+                    acc.pop(key, None)
+                else:
+                    acc[key] = term
+        return SparsePoly(self.field, self.dim, acc)
+
+    def scale(self, value: Scalar | Rational) -> "SparsePoly":
+        if not isinstance(value, Scalar):
+            value = self.field.from_rational(value)
+        if value.is_zero:
+            return SparsePoly.zero(self.field, self.dim)
+        return SparsePoly(self.field, self.dim, {e: c * value for e, c in self.coeffs.items()})
+
+    def __pow__(self, n: int) -> "SparsePoly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        result = SparsePoly.constant(self.field, self.dim, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def derivative(self, order: MultiIndex, divided: bool = False) -> "SparsePoly":
+        """Plain d^order, or the divided power d^order / order! when asked.
+
+        Exact in characteristic zero either way: the coefficients picked up
+        are falling factorials, resp. binomials.
+        """
+        acc: dict[MultiIndex, Scalar] = {}
+        for exponent, coeff in self.coeffs.items():
+            k = mi_binomial(exponent, order) if divided else mi_falling(exponent, order)
+            if k == 0:
+                continue
+            acc[mi_sub(exponent, order)] = coeff.scaled(k)
+        return SparsePoly(self.field, self.dim, acc)
+
+    def evaluate(self, point: tuple[Scalar, ...]) -> Scalar:
+        total = self.field.zero()
+        for exponent, coeff in self.coeffs.items():
+            term = coeff
+            for x, e in zip(point, exponent):
+                if e:
+                    term = term * x ** e
+            total = total + term
+        return total
+
+    # -- norms ---------------------------------------------------------------
+
+    def gauss_valuation(self) -> NormValue:
+        """Valuation form of the Gauss norm: min coefficient valuation.
+
+        Multiplicative, because both backends have an integral (in fact
+        field) residue ring.
+        """
+        if not self.coeffs:
+            return NormValue.infinite()
+        return min(c.valuation() for c in self.coeffs.values())
+
+    # -- substitution ----------------------------------------------------------
+
+    def substitute_affine(self, center: tuple[Scalar, ...], scales: tuple[Scalar, ...]) -> "SparsePoly":
+        """Exact expansion of f(c_1 + s_1 y_1, ..., c_d + s_d y_d).
+
+        One Horner pass per variable, so no binomial tables are needed and
+        integer coefficient growth stays linear in the degree.
+        """
+        if len(center) != self.dim or len(scales) != self.dim:
+            raise ValueError("center/scale arity does not match dimension")
+        out = self
+        for i in range(self.dim):
+            out = out._substitute_one(i, center[i], scales[i])
+        return out
+
+    def _substitute_one(self, i: int, c: Scalar, s: Scalar) -> "SparsePoly":
+        if self.is_zero:
+            return self
+        # regroup as a polynomial in variable i with SparsePoly coefficients
+        layers: dict[int, dict[MultiIndex, Scalar]] = {}
+        for exponent, coeff in self.coeffs.items():
+            k = exponent[i]
+            flat = exponent[:i] + (0,) + exponent[i + 1:]
+            layers.setdefault(k, {})[flat] = coeff
+        top = max(layers)
+        acc: dict[MultiIndex, Scalar] = {}
+        for k in range(top, -1, -1):
+            if acc:
+                shifted: dict[MultiIndex, Scalar] = {}
+                for exponent, coeff in acc.items():
+                    if not c.is_zero:
+                        low = coeff * c
+                        if not low.is_zero:
+                            prev = shifted.get(exponent)
+                            low = low if prev is None else prev + low
+                            if low.is_zero:
+                                shifted.pop(exponent, None)
+                            else:
+                                shifted[exponent] = low
+                    high = coeff * s
+                    if not high.is_zero:
+                        key = exponent[:i] + (exponent[i] + 1,) + exponent[i + 1:]
+                        prev = shifted.get(key)
+                        high = high if prev is None else prev + high
+                        if not high.is_zero:
+                            shifted[key] = high
+                acc = shifted
+            layer = layers.get(k)
+            if layer:
+                for exponent, coeff in layer.items():
+                    prev = acc.get(exponent)
+                    coeff = coeff if prev is None else prev + coeff
+                    if coeff.is_zero:
+                        acc.pop(exponent, None)
+                    else:
+                        acc[exponent] = coeff
+        return SparsePoly(self.field, self.dim, acc)
+
+
+# ---------------------------------------------------------------------------
+# domains
+
+
+@dataclass(frozen=True)
+class Polydisc:
+    """Closed polydisc inside the unit polydisc: center c, radii |pi|-powers.
+
+    Radii are stored as plain radius valuations (nonnegative rationals); the
+    radius itself is the norm of any element of that valuation.  The p-adic
+    value group is Z, so fractional radii are only meaningful on the Hahn
+    backend; element_of_valuation enforces that at rescale time.
+    """
+
+    center: tuple[Scalar, ...]
+    radius_valuations: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.center) != len(self.radius_valuations):
+            raise ValueError("center and radii arity mismatch")
+        for c in self.center:
+            if c.valuation() < NormValue.of(0):
+                raise ValueError("polydisc center must be integral (valuation >= 0)")
+        for r in self.radius_valuations:
+            if r < 0:
+                raise ValueError("radius valuation must be >= 0 (radius <= 1)")
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    @property
+    def field(self) -> Field:
+        return self.center[0].field
+
+
+def unit_polydisc(field: Field, dim: int) -> Polydisc:
+    return Polydisc(tuple(field.zero() for _ in range(dim)),
+                    tuple(Fraction(0) for _ in range(dim)))
+
+
+@dataclass(frozen=True)
+class Hole:
+    center: Scalar
+    radius_valuation: Fraction
+
+    def __post_init__(self) -> None:
+        if self.center.valuation() < NormValue.of(0):
+            raise ValueError("hole center must be integral (valuation >= 0)")
+        if self.radius_valuation < 0:
+            raise ValueError("hole radius valuation must be >= 0")
+
+
+@dataclass(frozen=True)
+class HoledDisc:
+    """The closed unit disc (one variable) minus open holes |x - a_i| < |tau_i|.
+
+    Holes must be pairwise disjoint: |a_i - a_j| >= max(|tau_i|, |tau_j|),
+    i.e. v(a_i - a_j) <= min of the radius valuations.
+    """
+
+    holes: tuple[Hole, ...]
+
+    def __post_init__(self) -> None:
+        for ha, hb in itertools.combinations(self.holes, 2):
+            gap = (ha.center - hb.center).valuation()
+            limit = NormValue(min(ha.radius_valuation, hb.radius_valuation))
+            if not (gap <= limit):
+                raise ValueError("holes overlap: centers too close for the radii")
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    @property
+    def field(self) -> Field:
+        return self.holes[0].center.field
+
+
+Domain = Union[Polydisc, HoledDisc]
+
+
+def rescale_to_subdisc(f: SparsePoly, center: tuple[Scalar, ...],
+                       radius_valuations: tuple[Fraction, ...]) -> SparsePoly:
+    """g(y) = f(c + sigma*y) with v(sigma_i) equal to the radius valuation.
+
+    Exact; the unit polydisc in y corresponds to the requested subdisc in x,
+    so gauss(g) is the sup norm of f there.
+    """
+    field = f.field
+    for c in center:
+        if c.valuation() < NormValue.of(0):
+            raise ValueError("subdisc center must be integral")
+    scales = []
+    for r in radius_valuations:
+        if r < 0:
+            raise ValueError("radius valuation must be >= 0")
+        scales.append(field.element_of_valuation(r))
+    return f.substitute_affine(tuple(center), tuple(scales))
+
+
+def sup_norm(f: SparsePoly, domain: Domain) -> NormValue:
+    """Exact sup norm of f over the domain, in valuation form.
+
+    Polydisc: rescale to the unit polydisc and take the Gauss norm.
+    Holed disc: the Gauss point of the ambient unit disc survives removing
+    open holes, so the sup norm is the plain Gauss norm.
+    """
+    if isinstance(domain, HoledDisc):
+        if f.dim != 1:
+            raise ValueError("holed discs are one-dimensional")
+        return f.gauss_valuation()
+    if f.dim != domain.dim:
+        raise ValueError("dimension mismatch between function and domain")
+    if f.field != domain.field:
+        raise ValueError("function and domain use different backends")
+    return rescale_to_subdisc(f, domain.center, domain.radius_valuations).gauss_valuation()
+
+
+def laurent_basis_derivative(alpha: int, beta: int, hole: Hole) -> tuple[Scalar, int]:
+    """Divided-power derivative of the hole basis function, in closed form.
+
+    With z = (tau/(x-a))^(beta+1), the quotient (d/dx)^(alpha) z / z equals
+    (-1)^alpha * C(alpha+beta, alpha) * (x-a)^(-alpha).  Returns that scalar
+    factor and the pole order alpha.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("orders must be natural numbers")
+    field = hole.center.field
+    factor = field.from_rational((-1) ** alpha * math.comb(alpha + beta, alpha))
+    return factor, alpha
+
+
+# ---------------------------------------------------------------------------
+# text format: sorted "(<scalar>) * x1^e1 ... xd^ed" terms
+
+
+def poly_to_text(f: SparsePoly) -> str:
+    if f.is_zero:
+        return "0"
+    parts = []
+    for exponent in sorted(f.coeffs):
+        body = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exponent))
+        parts.append(f"({f.coeffs[exponent].to_text()}) * {body}")
+    return " + ".join(parts)
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split on ' + ' outside parentheses (Hahn scalars contain ' + ' inside)."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and text.startswith(" + ", i):
+            parts.append(text[start:i])
+            i += 3
+            start = i
+            continue
+        i += 1
+    parts.append(text[start:])
+    return parts
+
+
+def poly_from_text(text: str, field: Field, dim: int) -> SparsePoly:
+    text = text.strip()
+    if text == "0":
+        return SparsePoly.zero(field, dim)
+    items: list[tuple[MultiIndex, Scalar]] = []
+    for term in _split_top_level(text):
+        term = term.strip()
+        if not term.startswith("("):
+            raise ValueError(f"malformed polynomial term: {term!r}")
+        depth, i = 0, 0
+        for i, ch in enumerate(term):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+        scalar = parse_scalar(term[1:i], field)
+        rest = term[i + 1:].strip()
+        if not rest.startswith("*"):
+            raise ValueError(f"malformed polynomial term: {term!r}")
+        exponent = [0] * dim
+        tokens = rest[1:].split()
+        if len(tokens) != dim:
+            raise ValueError(f"term {term!r} does not name all {dim} variables")
+        for j, token in enumerate(tokens):
+            name, _, power = token.partition("^")
+            if name != f"x{j + 1}" or not power.lstrip("-").isdigit():
+                raise ValueError(f"malformed variable token {token!r}, expected x{j + 1}^<nat>")
+            exponent[j] = int(power)
+        items.append((tuple(exponent), scalar))
+    return SparsePoly.make(field, dim, items)
+
+
+# ---------------------------------------------------------------------------
+# domain descriptors (JSON-shaped dicts)
+
+
+def domain_to_json(domain: Domain) -> dict:
+    if isinstance(domain, Polydisc):
+        return {
+            "type": "polydisc",
+            "center": [c.to_text() for c in domain.center],
+            "radii": [str(r) for r in domain.radius_valuations],
+        }
+    return {
+        "type": "holed_disc",
+        "holes": [
+            {"center": h.center.to_text(), "radius_valuation": str(h.radius_valuation)}
+            for h in domain.holes
+        ],
+    }
+
+
+def domain_from_json(obj: dict, field: Field) -> Domain:
+    kind = obj.get("type")
+    if kind == "polydisc":
+        center = tuple(parse_scalar(c, field) for c in obj["center"])
+        radii = tuple(Fraction(r) for r in obj["radii"])
+        return Polydisc(center, radii)
+    if kind == "holed_disc":
+        holes = tuple(
+            Hole(parse_scalar(h["center"], field), Fraction(h["radius_valuation"]))
+            for h in obj["holes"]
+        )
+        return HoledDisc(holes)
+    raise ValueError(f"unknown domain type {kind!r}")

@@ -1,0 +1,439 @@
+"""Command line front end: verification suites and norm queries with
+machine-readable output.
+
+Every command prints one JSON document (or its flattened CSV rows) and exits
+0 exactly when every reported check passed.  Reports never contain
+timestamps or environment details and all randomness flows through --seed,
+so a rerun with the same arguments is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import random
+import sys
+from fractions import Fraction
+
+from .affinoid import (
+    Hole,
+    Polydisc,
+    SparsePoly,
+    domain_from_json,
+    poly_to_text,
+    sup_norm,
+    unit_polydisc,
+    mi_box,
+    mi_up_to_total,
+)
+from .counterexample import (
+    RepProductFamily,
+    default_scheme,
+    rational_scheme,
+    verify_claim1_disc,
+    verify_claim1_laurent,
+    verify_claim2,
+)
+from .operators import (
+    CoefficientFamily,
+    DECREASING_WITNESSED,
+    DecayBound,
+    DiffOperator,
+    EndoOracle,
+    NON_DECREASING_WITNESSED,
+    coefficient_decay_report,
+    classify_rapid_decay,
+    combinatorial_delta,
+    operator_from_text,
+    operator_norm_bracket,
+    radius_seminorm,
+    random_operator,
+    roundtrip_report,
+    symbol_coefficient,
+    total_symbol,
+)
+from .scalars import Field, Scalar, backend_from_name, format_valuation, parse_scalar
+
+
+def _load_operator(path: str, field: Field) -> DiffOperator:
+    with open(path, "r", encoding="utf-8") as handle:
+        return operator_from_text(handle.read(), field)
+
+
+def _scalar_arg(text: str, field: Field) -> Scalar:
+    """Accept a plain rational like 3 or -1/2, or the full scalar syntax."""
+    try:
+        return field.from_rational(Fraction(text))
+    except ValueError:
+        return parse_scalar(text, field)
+
+
+# ---------------------------------------------------------------------------
+# command handlers; each returns (report, flat rows for csv)
+
+
+def _cmd_roundtrip(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    reports = []
+    if args.operator:
+        reports.append(roundtrip_report(_load_operator(args.operator, field),
+                                        operator_id=args.operator))
+    else:
+        rng = random.Random(args.seed)
+        for i in range(args.count):
+            P = random_operator(rng, field, args.d, args.alpha_max, args.degree_cap)
+            reports.append(roundtrip_report(P, operator_id=f"seeded-{i}"))
+    report = {
+        "command": "roundtrip",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"count": len(reports), "d": args.d,
+                   "order": args.alpha_max, "coeff_degree": args.degree_cap},
+        "operators": reports,
+        "pass": all(r["pass"] for r in reports),
+    }
+    rows = [dict(check, operator_id=r["operator_id"])
+            for r in reports for check in r["checks"]]
+    return report, rows
+
+
+def _cmd_identity(args) -> tuple[dict, list[dict]]:
+    rows = []
+    for gamma in mi_up_to_total(args.d, args.gamma_cap):
+        count = 0
+        ok = True
+        try:
+            for alpha in mi_box(gamma):
+                combinatorial_delta(alpha, gamma)
+                count += 1
+        except AssertionError:
+            ok = False
+        rows.append({"gamma": list(gamma), "checks": count, "pass": ok})
+    report = {
+        "command": "identity",
+        "backend": None,
+        "seed": args.seed,
+        "params": {"gamma_cap": args.gamma_cap, "d": args.d},
+        "rows": rows,
+        "pass": all(r["pass"] for r in rows),
+    }
+    return report, rows
+
+
+def _worked_families(field: Field) -> list[tuple[str, CoefficientFamily, str]]:
+    vpi = field.pi_valuation
+    one = SparsePoly.constant(field, 1, 1)
+    pi = field.uniformizer()
+    return [
+        ("quadratic-valuation-growth",
+         CoefficientFamily(field, 1, lambda a: one.scale(pi ** (a[0] * a[0])),
+                           bound=DecayBound(quad=vpi)),
+         DECREASING_WITNESSED),
+        ("constant-unit",
+         CoefficientFamily(field, 1, lambda a: one),
+         NON_DECREASING_WITNESSED),
+        ("linear-valuation-growth",
+         CoefficientFamily(field, 1, lambda a: one.scale(pi ** (2 * a[0]))),
+         NON_DECREASING_WITNESSED),
+        ("rep-product",
+         RepProductFamily(default_scheme(field)).family(),
+         NON_DECREASING_WITNESSED),
+    ]
+
+
+def _cmd_classify(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    rows = []
+    for name, family, expected in _worked_families(field):
+        verdict = classify_rapid_decay(family, r_max=args.r_max, index_cap=args.index_cap)
+        rows.append({"family": name, "verdict": verdict,
+                     "expected": expected, "pass": verdict == expected})
+    report = {
+        "command": "classify",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"r_max": args.r_max, "index_cap": args.index_cap},
+        "rows": rows,
+        "pass": all(r["pass"] for r in rows),
+    }
+    return report, rows
+
+
+def _cmd_norms(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    P = _load_operator(args.operator, field)
+    if args.domain:
+        domain = domain_from_json(json.loads(args.domain), field)
+    else:
+        domain = unit_polydisc(field, P.dim)
+    rows = []
+    for alpha in sorted(P.coeffs):
+        a = P.plain_coefficient(alpha)
+        rows.append({
+            "index": list(alpha),
+            "gauss": format_valuation(a.gauss_valuation()),
+            "sup": format_valuation(sup_norm(a, domain)),
+            "pass": True,
+        })
+    seminorm_r = Fraction(args.radius_valuation)
+    report = {
+        "command": "norms",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"operator": args.operator,
+                   "seminorm_radius_valuation": str(seminorm_r)},
+        "rows": rows,
+        "seminorm_valuation": format_valuation(radius_seminorm(P, seminorm_r)),
+        "pass": True,
+    }
+    if isinstance(domain, Polydisc):
+        lower, upper = operator_norm_bracket(P, domain, args.degree_cap)
+        report["norm_bracket"] = {"lower_valuation": format_valuation(lower),
+                                  "upper_valuation": format_valuation(upper)}
+    return report, rows
+
+
+def _cmd_counterexample(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    scheme = rational_scheme(field) if args.scheme == "rational" else default_scheme(field)
+    family = RepProductFamily(scheme)
+    reports = []
+    if args.claim == "claim2":
+        reports.append(verify_claim2(family, args.alpha_max))
+    else:
+        if args.mode in ("disc", "both"):
+            center = _scalar_arg(args.center, field)
+            reports.append(verify_claim1_disc(
+                family, center, Fraction(args.radius_valuation), args.alpha_max))
+        if args.mode in ("laurent", "both"):
+            hole = Hole(_scalar_arg(args.hole_center, field),
+                        Fraction(args.hole_radius_valuation))
+            reports.append(verify_claim1_laurent(
+                family, hole, args.alpha_max, args.beta_max, args.delta_max))
+    report = {
+        "command": f"counterexample {args.claim}",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"scheme": scheme.name, "alpha_max": args.alpha_max},
+        "reports": reports,
+        "pass": all(r["pass"] for r in reports),
+    }
+    rows = [dict(row, claim=r["claim"]) for r in reports for row in r["rows"]]
+    return report, rows
+
+
+def _cmd_symbol(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    P = _load_operator(args.operator, field)
+    cap = P.order if args.degree_cap is None else args.degree_cap
+    oracle = EndoOracle.from_operator(P, degree_cap=cap)
+    rows = []
+    for alpha in mi_up_to_total(P.dim, cap):
+        got = symbol_coefficient(oracle, alpha)
+        ok = got == P.plain_coefficient(alpha)
+        rows.append({"index": list(alpha), "coefficient": poly_to_text(got), "pass": ok})
+    report = {
+        "command": "symbol",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"operator": args.operator, "degree_cap": cap},
+        "rows": rows,
+        "total_symbol": poly_to_text(total_symbol(oracle, cap)),
+        "pass": all(r["pass"] for r in rows),
+    }
+    return report, rows
+
+
+def _cmd_decay(args) -> tuple[dict, list[dict]]:
+    field = backend_from_name(args.backend)
+    P = _load_operator(args.operator, field)
+    inner = coefficient_decay_report(P, args.n, args.degree_cap,
+                                     operator_id=args.operator)
+    report = {
+        "command": "decay",
+        "backend": field.name,
+        "seed": args.seed,
+        "params": {"operator": args.operator, "n": args.n},
+        "report": inner,
+        "pass": inner["pass"],
+    }
+    return report, inner["checks"]
+
+
+def _builtin_sample(field: Field) -> DiffOperator:
+    """sum over k <= 3 of pi^(k^2) d^(k) in one variable; rapidly decaying."""
+    pi = field.uniformizer()
+    coeffs = {(k,): SparsePoly.constant(field, 1, pi ** (k * k)) for k in range(4)}
+    return DiffOperator.make(field, 1, coeffs, divided=True)
+
+
+def _cmd_suite(args) -> tuple[dict, list[dict]]:
+    backends = ["p=2", "hahn"]
+    reports = []
+    rows: list[dict] = []
+
+    ident_report, ident_rows = _cmd_identity(argparse.Namespace(
+        seed=args.seed, gamma_cap=4, d=2))
+    reports.append(ident_report)
+    rows.extend(dict(r, report="identity") for r in ident_rows)
+
+    for backend in backends:
+        sub = argparse.Namespace(backend=backend, seed=args.seed, count=5, d=2,
+                                 alpha_max=2, degree_cap=2, operator=None)
+        rt_report, rt_rows = _cmd_roundtrip(sub)
+        reports.append(rt_report)
+        rows.extend(dict(r, report=f"roundtrip/{backend}") for r in rt_rows)
+
+        cl_report, cl_rows = _cmd_classify(argparse.Namespace(
+            backend=backend, seed=args.seed, r_max=3, index_cap=8))
+        reports.append(cl_report)
+        rows.extend(dict(r, report=f"classify/{backend}") for r in cl_rows)
+
+        ce2_report, ce2_rows = _cmd_counterexample(argparse.Namespace(
+            backend=backend, seed=args.seed, claim="claim2", scheme="default",
+            alpha_max=8, mode="both", center="0", radius_valuation="1",
+            hole_center="0", hole_radius_valuation="1", beta_max=4, delta_max=6))
+        reports.append(ce2_report)
+        rows.extend(dict(r, report=f"claim2/{backend}") for r in ce2_rows)
+
+        ce1_report, ce1_rows = _cmd_counterexample(argparse.Namespace(
+            backend=backend, seed=args.seed, claim="claim1", scheme="default",
+            alpha_max=6, mode="both", center="0", radius_valuation="1",
+            hole_center="0", hole_radius_valuation="1", beta_max=4, delta_max=6))
+        reports.append(ce1_report)
+        rows.extend(dict(r, report=f"claim1/{backend}") for r in ce1_rows)
+
+        field = backend_from_name(backend)
+        inner = coefficient_decay_report(_builtin_sample(field), 1,
+                                         operator_id="builtin-sample")
+        reports.append({"command": "decay", "backend": field.name,
+                        "seed": args.seed, "params": {"n": 1}, "report": inner,
+                        "pass": inner["pass"]})
+        rows.extend(dict(r, report=f"decay/{backend}") for r in inner["checks"])
+
+    report = {
+        "command": "suite",
+        "backend": backends,
+        "seed": args.seed,
+        "params": {},
+        "reports": reports,
+        "pass": all(r["pass"] for r in reports),
+    }
+    return report, rows
+
+
+# ---------------------------------------------------------------------------
+# argument parsing and dispatch
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--backend", default="p=2",
+                        help="'hahn' or 'p=<prime>' (default p=2)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for fuzzed inputs; fixes the run byte-for-byte")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nadops",
+        description="Exact verification suites for differential operators "
+                    "over non-Archimedean polydiscs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("roundtrip", help="recover operator coefficients from monomial actions")
+    _add_common(p)
+    p.add_argument("--count", type=int, default=25, help="number of seeded operators")
+    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--alpha-max", type=int, default=3, help="truncation order")
+    p.add_argument("--degree-cap", type=int, default=2, help="coefficient degree")
+    p.add_argument("--operator", help="check this operator file instead of fuzzing")
+    p.set_defaults(handler=_cmd_roundtrip)
+
+    p = sub.add_parser("identity", help="alternating factorial sum collapses to a delta")
+    _add_common(p)
+    p.add_argument("--gamma-cap", type=int, default=8)
+    p.add_argument("--d", type=int, default=2)
+    p.set_defaults(handler=_cmd_identity)
+
+    p = sub.add_parser("classify", help="rapid-decrease verdicts for worked families")
+    _add_common(p)
+    p.add_argument("--r-max", type=int, default=3)
+    p.add_argument("--index-cap", type=int, default=12)
+    p.set_defaults(handler=_cmd_classify)
+
+    p = sub.add_parser("norms", help="gauss / sup / seminorm / norm-bracket queries")
+    _add_common(p)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--domain", help="domain descriptor as JSON")
+    p.add_argument("--radius-valuation", default="0", help="seminorm radius valuation")
+    p.add_argument("--degree-cap", type=int, default=None,
+                   help="monomial degree cap for the norm bracket")
+    p.set_defaults(handler=_cmd_norms)
+
+    p = sub.add_parser("counterexample", help="bounded on subdomains, divergent globally")
+    p.add_argument("claim", choices=("claim1", "claim2"))
+    _add_common(p)
+    p.add_argument("--scheme", choices=("default", "rational"), default="default",
+                   help="rational = enumerate all residue classes (hahn only)")
+    p.add_argument("--alpha-max", type=int, default=10)
+    p.add_argument("--mode", choices=("disc", "laurent", "both"), default="both",
+                   help="claim1 only: which subdomain estimates to run")
+    p.add_argument("--center", default="0", help="disc center (rational or scalar syntax)")
+    p.add_argument("--radius-valuation", default="1")
+    p.add_argument("--hole-center", default="0")
+    p.add_argument("--hole-radius-valuation", default="1")
+    p.add_argument("--beta-max", type=int, default=5, help="hole basis cap")
+    p.add_argument("--delta-max", type=int, default=8, help="monomial basis cap")
+    p.set_defaults(handler=_cmd_counterexample)
+
+    p = sub.add_parser("symbol", help="emit the total symbol of an operator file")
+    _add_common(p)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--degree-cap", type=int, default=None)
+    p.set_defaults(handler=_cmd_symbol)
+
+    p = sub.add_parser("decay", help="coefficient decay forced by subdisc boundedness")
+    _add_common(p)
+    p.add_argument("--operator", required=True)
+    p.add_argument("--n", type=int, default=1, help="subdisc radius exponent")
+    p.add_argument("--degree-cap", type=int, default=None)
+    p.set_defaults(handler=_cmd_decay)
+
+    p = sub.add_parser("suite", help="the full desk-scale verification sweep")
+    _add_common(p)
+    p.set_defaults(handler=_cmd_suite)
+
+    return parser
+
+
+def _to_csv(rows: list[dict]) -> str:
+    buffer = io.StringIO()
+    columns = sorted({key for row in rows for key in row})
+    writer = csv.DictWriter(buffer, fieldnames=columns, restval="", lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: v if isinstance(v, str) else json.dumps(v)
+                         for k, v in row.items()})
+    return buffer.getvalue()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report, rows = args.handler(args)
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.format == "csv":
+        sys.stdout.write(_to_csv(rows))
+    else:
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return 0 if report["pass"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

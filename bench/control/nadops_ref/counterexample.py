@@ -1,0 +1,586 @@
+"""A coefficient family that is bounded on every tested proper subdomain of
+the unit disc, yet fails the global decay condition.
+
+The family is built from coset representatives of the maximal ideal: member
+alpha is the product over beta <= alpha of (x - lambda_beta)^(alpha^2).
+Each member is monic with integral coefficients, so its Gauss valuation is 0
+and the pi-rescaled operator family sum xi_alpha pi^alpha d^(alpha) /
+(alpha! pi^(2 alpha)) has terms of valuation <= -alpha v(pi): no decay on
+the full disc.  Restricted to a proper subdisc or a disc with holes, the
+matching factor (x - lambda_gamma)^(alpha^2) is small, which is what the
+claim1 verifiers certify row by row.
+
+Expansions are exact.  The fast path writes the product F = prod (x -
+mu_i)^(e_i) (rational roots, denominators cleared) against its logarithmic
+derivative, A F' = B F with A the product of the distinct linear factors,
+and reads the coefficients off the resulting first-order recurrence; that
+is O(degree * #roots) big-integer work instead of O(degree^2), which is
+what makes degree ~28k members affordable in pure Python.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from typing import Callable
+
+from .affinoid import (
+    Hole,
+    SparsePoly,
+    laurent_basis_derivative,
+    rescale_to_subdisc,
+)
+from .operators import (
+    CoefficientFamily,
+    DECREASING_WITNESSED,
+    DecayBound,
+    DiffOperator,
+    apply_operator,
+    classify_rapid_decay,
+)
+from .scalars import Field, HahnField, NormValue, PAdicField, Scalar, format_valuation
+
+
+def _as_rational(x: Scalar) -> Fraction | None:
+    """The payload as a plain rational constant, or None for a real series."""
+    if isinstance(x.payload, Fraction):
+        return x.payload
+    if not x.payload:
+        return Fraction(0)
+    if len(x.payload) == 1 and x.payload[0][0] == 0:
+        return x.payload[0][1]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# representative schemes
+
+
+@dataclass(frozen=True, eq=False)
+class CosetRepScheme:
+    """Integral representatives lambda_0, lambda_1, ... of residue classes.
+
+    rep_rational_fn is set when every representative is a rational constant,
+    which unlocks the integer expansion fast path; it is the case for all
+    shipped schemes.
+    """
+
+    field: Field
+    name: str
+    rep_rational_fn: Callable[[int], Fraction]
+
+    def rep(self, i: int) -> Scalar:
+        return self.field.from_rational(self.rep_rational_fn(i))
+
+    def rep_rational(self, i: int) -> Fraction:
+        return self.rep_rational_fn(i)
+
+
+def cycling_scheme(field: PAdicField) -> CosetRepScheme:
+    """lambda_i = i mod p: the full residue system of Z/p, repeating.
+
+    Every p steps the same representative recurs, so a disc around an
+    integral center collects one more matching factor; the subdisc bound
+    strengthens accordingly.
+    """
+    if not isinstance(field, PAdicField):
+        raise TypeError("cycling scheme needs a p-adic backend")
+    return CosetRepScheme(field, f"padic-cycling(p={field.p})",
+                          lambda i: Fraction(i % field.p))
+
+
+def integer_scheme(field: HahnField) -> CosetRepScheme:
+    """lambda_i = i: distinct residues (the residue field has characteristic 0)."""
+    if not isinstance(field, HahnField):
+        raise TypeError("integer scheme needs the Hahn backend")
+    return CosetRepScheme(field, "hahn-integer", lambda i: Fraction(i))
+
+
+def _calkin_wilf(count: int) -> list[Fraction]:
+    """First ``count`` positive rationals, each exactly once."""
+    out: list[Fraction] = []
+    q = Fraction(1)
+    for _ in range(count):
+        out.append(q)
+        q = 1 / (2 * (q.numerator // q.denominator) + 1 - q)
+    return out
+
+
+def rational_scheme(field: HahnField, precompute: int = 256) -> CosetRepScheme:
+    """An enumeration of ALL rational residues: 0, 1, -1, 1/2, -1/2, 2, ...
+
+    With this scheme every integral constant center matches some
+    representative, realizing the partition of the unit ball by residue
+    classes that the subdisc bounds are really about.
+    """
+    if not isinstance(field, HahnField):
+        raise TypeError("rational scheme needs the Hahn backend")
+    positives = _calkin_wilf(precompute)
+
+    def rep(i: int) -> Fraction:
+        if i == 0:
+            return Fraction(0)
+        k, sign = divmod(i - 1, 2)
+        while k >= len(positives):
+            positives.extend(_calkin_wilf(2 * len(positives))[len(positives):])
+        return positives[k] if sign == 0 else -positives[k]
+
+    return CosetRepScheme(field, "hahn-rational", rep)
+
+
+def default_scheme(field: Field) -> CosetRepScheme:
+    if isinstance(field, PAdicField):
+        return cycling_scheme(field)
+    return integer_scheme(field)
+
+
+# ---------------------------------------------------------------------------
+# exact expansion of products of powers of linear factors
+
+
+def _linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
+    """Ascending coefficients of prod (x - mu)^e, exactly.
+
+    Denominators are cleared, so the recurrence below runs over plain ints;
+    every division it performs is exact by construction.
+    """
+    merged: dict[Fraction, int] = {}
+    degree = 0
+    for mu, e in roots:
+        if e < 0:
+            raise ValueError("negative multiplicity")
+        if e:
+            merged[mu] = merged.get(mu, 0) + e
+            degree += e
+    if degree == 0:
+        return [Fraction(1)]
+    shift = merged.pop(Fraction(0), 0)
+    live = sorted(merged.items())
+    if not live:
+        return [Fraction(0)] * shift + [Fraction(1)]
+
+    # factor x - p/q becomes (q x - p); H = prod (q x - p)^e is integral
+    pairs = [(mu.numerator, mu.denominator, e) for mu, e in live]
+    n = sum(e for _, _, e in pairs)
+
+    def poly_mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    linears = [[-p, q] for p, q, _ in pairs]
+    prefix = [[1]]
+    for lin in linears:
+        prefix.append(poly_mul(prefix[-1], lin))
+    suffix = [[1]] * (len(linears) + 1)
+    for i in range(len(linears) - 1, -1, -1):
+        suffix[i] = poly_mul(suffix[i + 1], linears[i])
+    A = prefix[-1]
+    B = [0] * (len(A) - 1)
+    for i, (p, q, e) in enumerate(pairs):
+        partial = poly_mul(prefix[i], suffix[i + 1])
+        w = e * q
+        for j, y in enumerate(partial):
+            B[j] += w * y
+
+    s = len(pairs)
+    c = [0] * (n + 1)
+    c0 = 1
+    for p, _, e in pairs:
+        c0 *= (-p) ** e
+    c[0] = c0
+    a0 = A[0]
+    for k in range(n):
+        total = 0
+        for j in range(1, s + 1):
+            m = k - j + 1
+            if 0 <= m <= n and c[m]:
+                total -= A[j] * m * c[m]
+        for j in range(s):
+            m = k - j
+            if 0 <= m <= n and c[m]:
+                total += B[j] * c[m]
+        quotient, remainder = divmod(total, a0 * (k + 1))
+        assert remainder == 0, "coefficient recurrence produced a non-integer"
+        c[k + 1] = quotient
+    lead = 1
+    for _, q, e in pairs:
+        lead *= q ** e
+    assert c[n] == lead, "coefficient recurrence lost the leading term"
+
+    if lead == 1:
+        coeffs = [Fraction(v) for v in c]
+    else:
+        coeffs = [Fraction(v, lead) for v in c]
+    return [Fraction(0)] * shift + coeffs
+
+
+def _poly_from_rational_coeffs(field: Field, coeffs: list[Fraction],
+                               scale_valuation: Fraction | None = None) -> SparsePoly:
+    """Sparse polynomial with coefficient j optionally scaled by pi-free
+    weight of valuation scale_valuation * j (used to finish a rescale)."""
+    items = {}
+    sigma = None if scale_valuation is None else field.element_of_valuation(scale_valuation)
+    power = field.one()
+    for j, value in enumerate(coeffs):
+        if sigma is not None and j:
+            power = power * sigma
+        if value == 0:
+            continue
+        coeff = field.from_rational(value)
+        if sigma is not None and j:
+            coeff = coeff * power
+        items[(j,)] = coeff
+    return SparsePoly(field, 1, items)
+
+
+# ---------------------------------------------------------------------------
+# the family itself
+
+
+@dataclass(eq=False)
+class RepProductFamily:
+    """Member alpha: prod over beta <= alpha of (x - lambda_beta)^(alpha^2)."""
+
+    scheme: CosetRepScheme
+    _cache: dict[int, SparsePoly] = dataclass_field(default_factory=dict)
+
+    # members up to this degree are kept; expansions of degree ~28k are
+    # hundreds of MB and must not accumulate across a sweep
+    _cache_alpha_limit: int = 12
+
+    @property
+    def field(self) -> Field:
+        return self.scheme.field
+
+    def member(self, alpha: int) -> SparsePoly:
+        if alpha < 0:
+            raise ValueError("family index must be a natural number")
+        hit = self._cache.get(alpha)
+        if hit is not None:
+            return hit
+        roots = [(self.scheme.rep_rational(beta), alpha * alpha) for beta in range(alpha + 1)]
+        poly = _poly_from_rational_coeffs(self.field, _linear_power_product(roots))
+        if alpha <= self._cache_alpha_limit:
+            self._cache[alpha] = poly
+        return poly
+
+    def member_expected_degree(self, alpha: int) -> int:
+        return (alpha + 1) * alpha * alpha
+
+    def member_on_subdisc(self, alpha: int, center: Scalar,
+                          radius_valuation: Fraction) -> SparsePoly:
+        """Exact expansion of member(alpha) at x = center + sigma y.
+
+        Rescaling is a ring homomorphism, so the factors are shifted
+        individually: the roots move to lambda_beta - center and the j-th
+        coefficient picks up valuation j * radius_valuation.  For series
+        centers this falls back to the generic affine substitution.
+        """
+        if radius_valuation < 0:
+            raise ValueError("radius valuation must be >= 0")
+        c = _as_rational(center)
+        if c is None:
+            return rescale_to_subdisc(self.member(alpha), (center,), (radius_valuation,))
+        roots = [(self.scheme.rep_rational(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
+        coeffs = _linear_power_product(roots)
+        return _poly_from_rational_coeffs(self.field, coeffs, radius_valuation)
+
+    def normalized_member(self, alpha: int) -> SparsePoly:
+        """member(alpha) * pi^alpha / (alpha! * pi^(2 alpha))."""
+        field = self.field
+        weight = (field.uniformizer() ** (-alpha)).scaled(Fraction(1, math.factorial(alpha)))
+        return self.member(alpha).scale(weight)
+
+    def family(self) -> CoefficientFamily:
+        return CoefficientFamily(self.field, 1, lambda a: self.member(a[0]))
+
+    def normalized_family(self) -> CoefficientFamily:
+        return CoefficientFamily(self.field, 1, lambda a: self.normalized_member(a[0]))
+
+    def matching_indices(self, center: Scalar, up_to: int) -> list[tuple[int, NormValue]]:
+        """Indices beta <= up_to whose representative shares the center's
+        residue class, with v(center - lambda_beta)."""
+        out = []
+        for beta in range(up_to + 1):
+            gap = (center - self.scheme.rep(beta)).valuation()
+            if gap > NormValue.of(0):
+                out.append((beta, gap))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# claim verification reports
+
+
+def _min_with_radius(gap: NormValue, radius_valuation: Fraction) -> Fraction:
+    """min(v(epsilon), r) with v = +inf collapsing to r (center on the rep)."""
+    if gap.valuation is None:
+        return radius_valuation
+    return min(gap.valuation, radius_valuation)
+
+
+def verify_claim1_disc(family: RepProductFamily, center: Scalar,
+                       radius_valuation: Fraction, alpha_max: int,
+                       classify_index_cap: int = 8) -> dict:
+    """Per-alpha subdisc bound, plus decay evidence for the restricted family.
+
+    For each alpha the exact sup-norm valuation of member(alpha) over the
+    disc Z = B(center, radius) is compared against the certified bound
+
+        alpha^2 * sum over matching beta <= alpha of min(v(center -
+        lambda_beta), r),
+
+    one summand per factor whose representative shares the center's residue
+    class.  A restricted family witness (structured bound with the first
+    matching index as shift) is then run through the decay classifier.
+    """
+    if radius_valuation <= 0:
+        raise ValueError("a proper subdisc needs a strictly positive radius valuation")
+    if center.valuation() < NormValue.of(0):
+        raise ValueError("disc center must be integral")
+    radius_valuation = Fraction(radius_valuation)
+    matches = family.matching_indices(center, alpha_max)
+    gamma = matches[0][0] if matches else None
+    gap_by_index = dict(matches)
+
+    restricted: dict[int, SparsePoly] = {}
+
+    def on_disc(alpha: int) -> SparsePoly:
+        if alpha not in restricted:
+            restricted[alpha] = family.member_on_subdisc(alpha, center, radius_valuation)
+        return restricted[alpha]
+
+    rows = []
+    all_rows_pass = True
+    for alpha in range(alpha_max + 1):
+        lhs = on_disc(alpha).gauss_valuation()
+        bound = Fraction(0)
+        for beta, gap in gap_by_index.items():
+            if beta <= alpha:
+                bound += alpha * alpha * _min_with_radius(gap, radius_valuation)
+        ok = lhs >= NormValue.of(bound)
+        all_rows_pass = all_rows_pass and ok
+        rows.append({
+            "alpha": alpha,
+            "valuation_lhs": format_valuation(lhs),
+            "valuation_rhs": format_valuation(NormValue.of(bound)),
+            "pass": ok,
+        })
+
+    # decay of the restricted family: certified when a matching factor exists
+    verdict = None
+    conclusion_pass = True
+    if gamma is not None:
+        quad = _min_with_radius(gap_by_index[gamma], radius_valuation)
+        witness = CoefficientFamily(
+            family.field, 1, lambda a: on_disc(a[0]),
+            bound=DecayBound(quad=quad, shift=gamma))
+        verdict = classify_rapid_decay(witness, r_max=3,
+                                       index_cap=min(alpha_max, classify_index_cap))
+        conclusion_pass = verdict == DECREASING_WITNESSED
+
+    report_pass = all_rows_pass and conclusion_pass
+    return {
+        "scheme": family.scheme.name,
+        "claim": "claim1-disc",
+        "params": {
+            "center": center.to_text(),
+            "radius_valuation": str(radius_valuation),
+            "alpha_max": alpha_max,
+            "gamma": gamma,
+        },
+        "rows": rows,
+        "restricted_family_verdict": verdict,
+        "pass": report_pass,
+    }
+
+
+def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
+                          beta_max: int, delta_max: int) -> dict:
+    """Boundedness of the scaled family on a disc with a hole, certified on
+    both kinds of basis elements.
+
+    Monomial side: sup over |delta| <= delta_max of the Gauss valuation of
+    (member(alpha) d^(alpha))(x^delta) must be >= 0 (the members are monic
+    and integral).
+
+    Hole side: with z_beta = (tau/(x-a))^(beta+1), the ratio
+    z_beta^{-1} (member d^(alpha)) z_beta equals (-1)^alpha
+    C(alpha+beta, alpha) member(alpha) (x-a)^{-alpha}; writing member =
+    (x - lambda_gamma)^(alpha^2) * rest and ((y+rho)^alpha / y)^alpha =
+    (rho^alpha / tau * z_0 + f_alpha)^alpha with y = x - a and rho = a -
+    lambda_gamma, the certified valuation bound is
+
+        v(C(alpha+beta, alpha)) + gauss(rest) + alpha * min(alpha v(rho) -
+        v(tau), 0)     for alpha >= gamma,
+
+    checked against the displayed closed form alpha * min(alpha v(rho) -
+    v(tau), 0).  Rows with alpha < gamma use the crude bound -alpha v(tau)
+    from |1/(x-a)| <= 1/|tau|.  The finite constant and the index past
+    which the bound is exactly 0 are reported.
+    """
+    field = family.field
+    vtau = Fraction(hole.radius_valuation)
+    matches = family.matching_indices(hole.center, alpha_max)
+    gamma = matches[0][0] if matches else None
+    rho = None if gamma is None else hole.center - family.scheme.rep(gamma)
+
+    rows = []
+    all_pass = True
+    bound_column: list[Fraction] = []
+    for alpha in range(alpha_max + 1):
+        xi = family.member(alpha)
+
+        # (i) monomial images through the actual operator action
+        op = DiffOperator.make(field, 1, {(alpha,): xi}, divided=True)
+        monomial_worst = NormValue.infinite()
+        for delta in range(delta_max + 1):
+            image = apply_operator(op, SparsePoly.monomial(field, 1, (delta,)))
+            monomial_worst = min(monomial_worst, image.gauss_valuation())
+        monomial_ok = monomial_worst >= NormValue.of(0)
+
+        # (ii) hole-basis ratio, certified piecewise
+        if gamma is not None and alpha >= gamma:
+            vrho = rho.valuation()
+            if vrho.is_infinite:
+                core = Fraction(0)
+            else:
+                core = alpha * min(alpha * vrho.valuation - vtau, Fraction(0))
+            pieces_ok = _decomposition_checks(field, hole, rho, alpha)
+            rest_gauss = Fraction(0)
+            for beta in range(alpha + 1):
+                if beta == gamma:
+                    continue
+                factor = SparsePoly.variable(field, 1, 0) \
+                    - SparsePoly.constant(field, 1, family.scheme.rep(beta))
+                g = factor.gauss_valuation()
+                assert not g.is_infinite
+                rest_gauss += alpha * alpha * g.valuation
+            binom_floor = min(
+                field.from_rational(math.comb(alpha + b, alpha)).valuation().valuation
+                for b in range(beta_max + 1))
+            certified = binom_floor + rest_gauss + core
+            displayed = core
+        else:
+            pieces_ok = True
+            certified = -alpha * vtau
+            displayed = -alpha * vtau
+        bound_column.append(displayed)
+        lhs = min(monomial_worst, NormValue.of(certified))
+        rhs = NormValue.of(min(displayed, Fraction(0)))
+        ok = monomial_ok and pieces_ok and lhs >= rhs and certified >= displayed
+        all_pass = all_pass and ok
+        rows.append({
+            "alpha": alpha,
+            "valuation_lhs": format_valuation(lhs),
+            "valuation_rhs": format_valuation(rhs),
+            "pass": ok,
+        })
+
+    # finite constant over tested alpha, and where the bound stabilizes at 0
+    c_valuation = min([Fraction(0), *bound_column])
+    stabilization_index = None
+    for start in range(alpha_max + 1):
+        if all(b >= 0 for b in bound_column[start:]) and (gamma is None or start >= gamma):
+            stabilization_index = start
+            break
+    stable_found = stabilization_index is not None
+
+    # (iii) pi^alpha tail: term valuations must grow past the stable index
+    vpi = field.pi_valuation
+    tail_ok = True
+    if stable_found:
+        tail = [min(Fraction(0), bound_column[a]) + a * vpi
+                for a in range(stabilization_index, alpha_max + 1)]
+        tail_ok = all(b > a for a, b in zip(tail, tail[1:]))
+
+    report_pass = all_pass and stable_found and tail_ok
+    report = {
+        "scheme": family.scheme.name,
+        "claim": "claim1-laurent",
+        "params": {
+            "hole_center": hole.center.to_text(),
+            "hole_radius_valuation": str(vtau),
+            "alpha_max": alpha_max,
+            "beta_max": beta_max,
+            "delta_max": delta_max,
+            "gamma": gamma,
+        },
+        "rows": rows,
+        "c_valuation": format_valuation(NormValue.of(c_valuation)),
+        "tail_decay_pass": tail_ok,
+        "pass": report_pass,
+    }
+    if stable_found:
+        report["stabilization_index"] = stabilization_index
+    return report
+
+
+def _decomposition_checks(field: Field, hole: Hole, rho: Scalar, alpha: int) -> bool:
+    """Exact checks behind the hole-side bound for one alpha.
+
+    In the variable u = x - a:  (u + rho)^alpha = rho^alpha + u * f_alpha(u)
+    with f_alpha integral, and the divided-power scalar factors
+    C(alpha+beta, alpha) are integral.  |tau / u| <= 1 on the holed domain
+    links the rho^alpha / u term to the basis function z_0 with weight
+    rho^alpha / tau, whose valuation is what the closed form uses.
+    """
+    u = SparsePoly.variable(field, 1, 0)
+    rho_poly = SparsePoly.constant(field, 1, rho)
+    lhs = (u + rho_poly) ** alpha
+    f_alpha = SparsePoly.make(field, 1, {
+        (k - 1,): field.from_rational(math.comb(alpha, k)) * rho ** (alpha - k)
+        for k in range(1, alpha + 1)
+    })
+    identity_ok = lhs == SparsePoly.constant(field, 1, rho ** alpha) + u * f_alpha
+    integral_ok = f_alpha.is_zero or f_alpha.gauss_valuation() >= NormValue.of(0)
+    factor_ok = True
+    for beta in range(3):
+        scalar, pole_order = laurent_basis_derivative(alpha, beta, hole)
+        factor_ok = factor_ok and scalar.valuation() >= NormValue.of(0) and pole_order == alpha
+    return identity_ok and integral_ok and factor_ok
+
+
+def verify_claim2(family: RepProductFamily, alpha_max: int) -> dict:
+    """Global failure of decay: per alpha, from the exact expansion,
+
+        gauss(member) + alpha v(pi) - v(alpha!) - 2 alpha v(pi) <= -alpha v(pi)
+
+    with gauss(member) asserted to be exactly 0.  The left side is the
+    valuation of the alpha-th term of the pi-rescaled operator family; the
+    inequality says those terms blow up at least like |pi|^{-alpha}.
+    """
+    field = family.field
+    vpi = field.pi_valuation
+    rows = []
+    all_pass = True
+    for alpha in range(alpha_max + 1):
+        xi = family.member(alpha)
+        expected_degree = family.member_expected_degree(alpha)
+        degree_ok = xi.degree() == expected_degree
+        gauss = xi.gauss_valuation()
+        gauss_ok = gauss == NormValue.of(0)
+        lhs = gauss + NormValue.of(alpha * vpi
+                                   - field.factorial_valuation(alpha)
+                                   - 2 * alpha * vpi)
+        rhs = NormValue.of(-alpha * vpi)
+        ok = degree_ok and gauss_ok and lhs <= rhs
+        all_pass = all_pass and ok
+        rows.append({
+            "alpha": alpha,
+            "valuation_lhs": format_valuation(lhs),
+            "valuation_rhs": format_valuation(rhs),
+            "pass": ok,
+        })
+    return {
+        "scheme": family.scheme.name,
+        "claim": "claim2",
+        "params": {"alpha_max": alpha_max},
+        "rows": rows,
+        "pass": all_pass,
+    }

@@ -1,0 +1,674 @@
+"""Finite-order differential operators, symbol extraction, and norm brackets.
+
+An operator is a finite sum of terms a_alpha * d^alpha (or divided powers
+d^(alpha) = d^alpha / alpha!) with sparse polynomial coefficients, truncated
+at a stated order.  Everything here is exact:
+
+  * apply/compose realize the Weyl-algebra action and are tied together by
+    the contract apply(compose(P, Q), f) == apply(P, apply(Q, f));
+  * symbol_coefficient recovers the coefficient family of a black-box
+    endomorphism from its values on monomials, and roundtrip_report checks
+    that recovery is exact on a concrete operator;
+  * the norm bracket sandwiches an operator norm between a monomial-image
+    lower bound and a coefficientwise upper bound, both exact valuations.
+
+Rapid decay of a coefficient family (a_alpha / pi^{r|alpha|} -> 0 for every
+natural r) can never be concluded from finitely many queries, so the
+classifier returns "decreasing-witnessed" only from a structured valuation
+lower bound, and "non-decreasing-witnessed" only from an explicit growing
+witness sequence; everything else is "inconclusive".
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
+
+from .affinoid import (
+    MultiIndex,
+    Polydisc,
+    SparsePoly,
+    HoledDisc,
+    mi_add,
+    mi_binomial,
+    mi_box,
+    mi_factorial,
+    mi_sub,
+    mi_total,
+    mi_up_to_total,
+    mi_with_total,
+    poly_from_text,
+    poly_to_text,
+    sup_norm,
+    unit_polydisc,
+)
+from .scalars import Field, HahnField, NormValue, PAdicField, Rational, Scalar, backend_from_name, format_valuation
+
+DECREASING_WITNESSED = "decreasing-witnessed"
+NON_DECREASING_WITNESSED = "non-decreasing-witnessed"
+INCONCLUSIVE = "inconclusive"
+
+
+def field_factorial_valuation(field: Field, alpha: MultiIndex) -> Fraction:
+    """v(alpha!) = sum of the coordinate factorial valuations."""
+    total = Fraction(0)
+    for a in alpha:
+        total += field.factorial_valuation(a)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+@dataclass(frozen=True, eq=False)
+class DiffOperator:
+    """A truncated differential operator with polynomial coefficients.
+
+    ``coeffs`` maps derivative multi-indices to nonzero coefficient
+    polynomials; every index satisfies |alpha| <= order.  When ``divided``
+    is set, the index alpha multiplies the divided power d^alpha / alpha!.
+    """
+
+    field: Field
+    dim: int
+    coeffs: Mapping[MultiIndex, SparsePoly]
+    order: int
+    divided: bool = False
+
+    @classmethod
+    def make(cls, field: Field, dim: int,
+             coeffs: Mapping[MultiIndex, SparsePoly],
+             order: int | None = None, divided: bool = False) -> "DiffOperator":
+        clean: dict[MultiIndex, SparsePoly] = {}
+        for alpha, poly in coeffs.items():
+            alpha = tuple(alpha)
+            if len(alpha) != dim or any(a < 0 for a in alpha):
+                raise ValueError(f"bad derivative index {alpha} for dimension {dim}")
+            if poly.field != field or poly.dim != dim:
+                raise ValueError(f"coefficient at {alpha} has mismatched backend or dimension")
+            if not poly.is_zero:
+                clean[alpha] = poly
+        top = max((mi_total(a) for a in clean), default=0)
+        if order is None:
+            order = top
+        if top > order:
+            raise ValueError(f"coefficient index exceeds truncation order {order}")
+        return cls(field, dim, clean, order, divided)
+
+    @classmethod
+    def zero(cls, field: Field, dim: int, order: int = 0) -> "DiffOperator":
+        return cls(field, dim, {}, order, False)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def plain_coefficient(self, alpha: MultiIndex) -> SparsePoly:
+        """Coefficient of d^alpha in the plain (non divided power) expansion."""
+        alpha = tuple(alpha)
+        poly = self.coeffs.get(alpha)
+        if poly is None:
+            return SparsePoly.zero(self.field, self.dim)
+        if self.divided:
+            return poly.scale(Fraction(1, mi_factorial(alpha)))
+        return poly
+
+    def to_plain(self) -> "DiffOperator":
+        if not self.divided:
+            return self
+        coeffs = {a: self.plain_coefficient(a) for a in self.coeffs}
+        return DiffOperator(self.field, self.dim, coeffs, self.order, False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiffOperator):
+            return NotImplemented
+        if (self.field, self.dim, self.order) != (other.field, other.dim, other.order):
+            return False
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self.plain_coefficient(k) == other.plain_coefficient(k) for k in keys)
+
+
+def apply_operator(P: DiffOperator, f: SparsePoly) -> SparsePoly:
+    """P(f), exactly.  d^alpha x^beta = (beta! / (beta-alpha)!) x^(beta-alpha)."""
+    if f.field != P.field or f.dim != P.dim:
+        raise ValueError("operator and argument use different backends or dimensions")
+    out = SparsePoly.zero(P.field, P.dim)
+    for alpha, a in P.coeffs.items():
+        image = f.derivative(alpha, divided=P.divided)
+        if not image.is_zero:
+            out = out + a * image
+    return out
+
+
+def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
+    """Operator composition P then-applied-after Q.
+
+    Leibniz: (a d^alpha)(b d^beta) = sum over gamma <= alpha of
+    C(alpha, gamma) * a * d^gamma(b) * d^(alpha - gamma + beta).
+    The result is truncated at order(P) + order(Q), and is divided-power
+    normalized only when both inputs are.
+    """
+    if P.field != Q.field or P.dim != Q.dim:
+        raise ValueError("cannot compose operators over different backends or dimensions")
+    acc: dict[MultiIndex, SparsePoly] = {}
+    Pp, Qp = P.to_plain(), Q.to_plain()
+    for alpha, a in Pp.coeffs.items():
+        for beta, b in Qp.coeffs.items():
+            for gamma in mi_box(alpha):
+                db = b.derivative(gamma)
+                if db.is_zero:
+                    continue
+                index = mi_add(mi_sub(alpha, gamma), beta)
+                term = (a * db).scale(mi_binomial(alpha, gamma))
+                prev = acc.get(index)
+                term = term if prev is None else prev + term
+                if term.is_zero:
+                    acc.pop(index, None)
+                else:
+                    acc[index] = term
+    order = P.order + Q.order
+    divided = P.divided and Q.divided
+    if divided:
+        acc = {a: poly.scale(mi_factorial(a)) for a, poly in acc.items()}
+    return DiffOperator.make(P.field, P.dim, acc, order, divided)
+
+
+# ---------------------------------------------------------------------------
+# black-box endomorphisms and symbol extraction
+
+
+@dataclass(eq=False)
+class EndoOracle:
+    """A linear endomorphism queried through its values on monomials.
+
+    ``degree_cap`` bounds |beta| for queries; anything beyond is an error,
+    which keeps truncation explicit at call sites.
+    """
+
+    field: Field
+    dim: int
+    degree_cap: int
+    query_fn: Callable[[MultiIndex], SparsePoly]
+    _cache: dict[MultiIndex, SparsePoly] = dataclass_field(default_factory=dict)
+
+    @classmethod
+    def from_operator(cls, P: DiffOperator, degree_cap: int | None = None) -> "EndoOracle":
+        cap = P.order if degree_cap is None else degree_cap
+        return cls(P.field, P.dim, cap,
+                   lambda beta: apply_operator(P, SparsePoly.monomial(P.field, P.dim, beta)))
+
+    def query(self, beta: MultiIndex) -> SparsePoly:
+        beta = tuple(beta)
+        if mi_total(beta) > self.degree_cap:
+            raise ValueError(f"query {beta} exceeds the declared degree cap {self.degree_cap}")
+        hit = self._cache.get(beta)
+        if hit is None:
+            hit = self.query_fn(beta)
+            if hit.field != self.field or hit.dim != self.dim:
+                raise ValueError("oracle returned a value over the wrong backend or dimension")
+            self._cache[beta] = hit
+        return hit
+
+    def apply_poly(self, f: SparsePoly) -> SparsePoly:
+        """Extend the monomial table by linearity."""
+        out = SparsePoly.zero(self.field, self.dim)
+        for exponent, coeff in f.coeffs.items():
+            out = out + self.query(exponent).scale(coeff)
+        return out
+
+
+def symbol_coefficient(oracle: EndoOracle, alpha: MultiIndex) -> SparsePoly:
+    """Extract the coefficient of d^alpha from monomial values.
+
+    (1/alpha!) * sum over beta <= alpha of psi(x^beta) * C(alpha, beta)
+    * (-x)^(alpha-beta).  For psi arising from a finite operator this
+    recovers the plain coefficient a_alpha exactly.
+    """
+    alpha = tuple(alpha)
+    if mi_total(alpha) > oracle.degree_cap:
+        raise ValueError(f"symbol index {alpha} exceeds the oracle degree cap")
+    acc = SparsePoly.zero(oracle.field, oracle.dim)
+    for beta in mi_box(alpha):
+        gap = mi_sub(alpha, beta)
+        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
+        acc = acc + oracle.query(beta) * SparsePoly.monomial(oracle.field, oracle.dim, gap, weight)
+    return acc.scale(Fraction(1, mi_factorial(alpha)))
+
+
+def total_symbol(oracle: EndoOracle, degree_cap: int) -> SparsePoly:
+    """Sum of symbol_coefficient(alpha) * zeta^alpha over |alpha| <= cap.
+
+    Returned in 2d variables: x1..xd are the base coordinates, x(d+1)..x(2d)
+    the cotangent (zeta) coordinates.
+    """
+    d = oracle.dim
+    out = SparsePoly.zero(oracle.field, 2 * d)
+    for alpha in mi_up_to_total(d, degree_cap):
+        coeff = symbol_coefficient(oracle, alpha)
+        if coeff.is_zero:
+            continue
+        lifted = SparsePoly.make(
+            oracle.field, 2 * d,
+            {exponent + alpha: c for exponent, c in coeff.coeffs.items()})
+        out = out + lifted
+    return out
+
+
+def combinatorial_delta(alpha: MultiIndex, gamma: MultiIndex) -> int:
+    """Direct box sum behind exact symbol recovery.
+
+    sum over alpha <= beta <= gamma of (beta!/(beta-alpha)!) * C(gamma, beta)
+    * (-1)^{|gamma - beta|}, which collapses to gamma! when alpha == gamma
+    and to 0 otherwise.  Computed by summation, asserted against the closed
+    form, returned as an int.
+    """
+    from .affinoid import mi_falling, mi_le
+
+    if not mi_le(alpha, gamma):
+        raise ValueError("requires alpha <= gamma componentwise")
+    total = 0
+    for beta in mi_box(gamma):
+        if not mi_le(alpha, beta):
+            continue
+        total += mi_falling(beta, alpha) * mi_binomial(gamma, beta) * (-1) ** mi_total(mi_sub(gamma, beta))
+    expected = mi_factorial(gamma) if alpha == gamma else 0
+    assert total == expected, f"delta identity failed at alpha={alpha}, gamma={gamma}"
+    return total
+
+
+def roundtrip_report(P: DiffOperator, operator_id: str = "operator") -> dict:
+    """Recover every coefficient of P from its monomial action; exact or bust."""
+    oracle = EndoOracle.from_operator(P)
+    checks = []
+    all_pass = True
+    for gamma in mi_up_to_total(P.dim, P.order):
+        expected = P.plain_coefficient(gamma)
+        got = symbol_coefficient(oracle, gamma)
+        ok = got == expected
+        all_pass = all_pass and ok
+        checks.append({
+            "index": list(gamma),
+            "expected": poly_to_text(expected),
+            "got": poly_to_text(got),
+            "pass": ok,
+        })
+    return {"operator_id": operator_id, "checks": checks, "pass": all_pass}
+
+
+def _shifted_monomial_basis(field: Field, dim: int, center: tuple[Scalar, ...],
+                            beta: MultiIndex) -> SparsePoly:
+    """(x - c)^beta expanded exactly."""
+    out = SparsePoly.constant(field, dim, 1)
+    for i, power in enumerate(beta):
+        if power:
+            linear = SparsePoly.variable(field, dim, i) - SparsePoly.constant(field, dim, center[i])
+            out = out * linear ** power
+    return out
+
+
+def translation_invariance_check(oracle: EndoOracle, center: tuple[Scalar, ...],
+                                 alpha: MultiIndex) -> bool:
+    """Symbol extraction does not depend on the chosen integral origin.
+
+    Compares the extraction sum written in x against the same sum written in
+    y = x - c, with psi evaluated on (x - c)^beta by linearity.  Exact
+    equality of polynomials.
+    """
+    for c in center:
+        if c.valuation() < NormValue.of(0):
+            raise ValueError("translation centers must be integral")
+    field, d = oracle.field, oracle.dim
+    lhs = SparsePoly.zero(field, d)
+    rhs = SparsePoly.zero(field, d)
+    for beta in mi_box(alpha):
+        gap = mi_sub(alpha, beta)
+        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
+        lhs = lhs + oracle.query(beta) * SparsePoly.monomial(field, d, gap, weight)
+        shifted = _shifted_monomial_basis(field, d, center, beta)
+        tail = _shifted_monomial_basis(field, d, center, gap).scale(weight)
+        rhs = rhs + oracle.apply_poly(shifted) * tail
+    return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# seminorms and operator norm brackets
+
+
+def radius_seminorm(P: DiffOperator, radius_valuation: Rational) -> NormValue:
+    """Valuation form of sup_alpha |a_alpha| R^{|alpha|} on plain coefficients.
+
+    ``radius_valuation`` is v of the radius; large radii mean negative
+    values.  The sup of norms is the min of valuations.
+    """
+    r = Fraction(radius_valuation)
+    best = NormValue.infinite()
+    for alpha in P.coeffs:
+        v = P.plain_coefficient(alpha).gauss_valuation() + NormValue.of(mi_total(alpha) * r)
+        best = min(best, v)
+    return best
+
+
+def _conjugate_to_unit_disc(P: DiffOperator, domain: Polydisc) -> DiffOperator:
+    """Rewrite P in the coordinates of the unit polydisc over ``domain``.
+
+    x = c + sigma y turns d/dx_i into sigma_i^{-1} d/dy_i, so the plain
+    coefficient at alpha becomes a_alpha(c + sigma y) * sigma^{-alpha}.
+    Monomials y^delta have sup norm exactly 1 afterwards, which is what
+    makes the monomial-image lower bound honest.
+    """
+    field = P.field
+    scales = tuple(field.element_of_valuation(r) for r in domain.radius_valuations)
+    coeffs: dict[MultiIndex, SparsePoly] = {}
+    for alpha in P.coeffs:
+        a = P.plain_coefficient(alpha)
+        moved = a.substitute_affine(domain.center, scales)
+        for i, power in enumerate(alpha):
+            if power:
+                moved = moved.scale(scales[i] ** (-power))
+        coeffs[alpha] = moved
+    return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False)
+
+
+def operator_norm_bracket(P: DiffOperator, domain: Polydisc,
+                          degree_cap: int | None = None) -> tuple[NormValue, NormValue]:
+    """Exact sandwich for the operator norm of P on a polydisc.
+
+    Returns (lower, upper) as NormValues describing norms, so in valuation
+    form lower.valuation >= upper.valuation.  The lower bound is the best
+    monomial image max |P y^delta| over |delta| <= cap after conjugating to
+    the unit polydisc; the upper bound is max over alpha of
+    |a_alpha| * |alpha!| there (divided powers have norm at most one on the
+    unit polydisc, and d^alpha = alpha! * d^(alpha)).
+    """
+    if isinstance(domain, HoledDisc):
+        raise ValueError("operator norm brackets are only defined over polydiscs")
+    if P.dim != domain.dim:
+        raise ValueError("operator and domain dimensions differ")
+    cap = P.order if degree_cap is None else degree_cap
+    conj = _conjugate_to_unit_disc(P, domain)
+    lower_val = NormValue.infinite()
+    for delta in mi_up_to_total(P.dim, cap):
+        image = apply_operator(conj, SparsePoly.monomial(P.field, P.dim, delta))
+        lower_val = min(lower_val, image.gauss_valuation())
+    upper_val = NormValue.infinite()
+    for alpha, b in conj.coeffs.items():
+        v = b.gauss_valuation() + NormValue.of(field_factorial_valuation(P.field, alpha))
+        upper_val = min(upper_val, v)
+    assert upper_val <= lower_val, "norm bracket inverted"
+    return NormValue(lower_val.valuation), NormValue(upper_val.valuation)
+
+
+def coefficient_decay_report(P: DiffOperator, n: int,
+                             degree_cap: int | None = None,
+                             operator_id: str = "operator") -> dict:
+    """Check the coefficient decay forced by boundedness on a small subdisc.
+
+    On the subdisc X_n of radius |pi|^n about the origin, the plain
+    coefficients of any operator satisfy, per stored alpha,
+
+        v(a_alpha restricted to X_n) >= W + n |alpha| v(pi) - v(alpha!)
+
+    where W is the (upper-bracket) operator norm valuation on X_n.  The
+    restriction on the left is what the origin-centered estimate controls;
+    the plain Gauss valuation of a_alpha is also reported (gauss_margin) and
+    coincides for coefficients whose sup is attained at the center.
+    """
+    if n < 0:
+        raise ValueError("subdisc exponent must be a natural number")
+    field, d = P.field, P.dim
+    vpi = field.pi_valuation
+    radii = tuple(Fraction(n) * vpi for _ in range(d))
+    dom = Polydisc(tuple(field.zero() for _ in range(d)), radii)
+    _, upper = operator_norm_bracket(P, dom, degree_cap)
+    checks = []
+    all_pass = True
+    for alpha in sorted(P.coeffs):
+        a = P.plain_coefficient(alpha)
+        lhs = sup_norm(a, dom)
+        lhs_gauss = a.gauss_valuation()
+        rhs = upper + NormValue.of(n * mi_total(alpha) * vpi) \
+            + NormValue.of(-field_factorial_valuation(field, alpha))
+        ok = lhs >= rhs
+        all_pass = all_pass and ok
+        margin = NormValue(None) if (lhs.is_infinite or rhs.is_infinite) \
+            else NormValue(lhs.valuation - rhs.valuation)
+        gauss_margin = NormValue(None) if (lhs_gauss.is_infinite or rhs.is_infinite) \
+            else NormValue(lhs_gauss.valuation - rhs.valuation)
+        checks.append({
+            "index": list(alpha),
+            "expected": format_valuation(rhs),
+            "got": format_valuation(lhs),
+            "margin": format_valuation(margin),
+            "gauss_margin": format_valuation(gauss_margin),
+            "pass": ok,
+        })
+    return {
+        "operator_id": operator_id,
+        "subdisc_exponent": n,
+        "norm_valuation_upper": format_valuation(upper),
+        "checks": checks,
+        "pass": all_pass,
+    }
+
+
+# ---------------------------------------------------------------------------
+# coefficient families and the rapid-decay classifier
+
+
+@dataclass(frozen=True)
+class DecayBound:
+    """Certified valuation lower bound, as a function of the total degree k:
+
+        L(k) = quad * max(0, k - shift)^2 + slope * k + offset
+
+    Shipping the bound in this shape is what lets the classifier certify a
+    limit; an opaque callable could only ever be sampled.
+    """
+
+    quad: Fraction
+    slope: Fraction = Fraction(0)
+    offset: Fraction = Fraction(0)
+    shift: int = 0
+
+    def __call__(self, total_degree: int) -> Fraction:
+        k = total_degree
+        return (Fraction(self.quad) * max(0, k - self.shift) ** 2
+                + Fraction(self.slope) * k + Fraction(self.offset))
+
+
+@dataclass(eq=False)
+class CoefficientFamily:
+    """A family alpha -> coefficient polynomial, optionally with a DecayBound.
+
+    The bound, when present, must lower-bound the true Gauss valuation at
+    every index; the classifier spot-checks that before trusting it.
+    """
+
+    field: Field
+    dim: int
+    generator: Callable[[MultiIndex], SparsePoly]
+    bound: DecayBound | None = None
+
+    def member(self, alpha: MultiIndex) -> SparsePoly:
+        poly = self.generator(tuple(alpha))
+        if poly.field != self.field or poly.dim != self.dim:
+            raise ValueError("family generator returned a mismatched polynomial")
+        return poly
+
+
+def _certifies_vanishing_all_ratios(bound: DecayBound) -> bool:
+    # condition (a): L(k) - r k v(pi) -> infinity for every natural r.
+    # Quadratic growth beats every linear drain; nothing weaker can,
+    # because r is unbounded.
+    return bound.quad > 0
+
+
+def _certifies_bounded_all_ratios(bound: DecayBound, pi_valuation: Fraction) -> bool:
+    # condition (c): inf_k (L(k) - r k v(pi)) finite for every natural r.
+    if bound.quad > 0:
+        return True  # an upward parabola is bounded below for each fixed r
+    # linear bounds lose to r > slope / v(pi); v(pi) > 0 by construction
+    assert pi_valuation > 0
+    return False
+
+
+def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
+                         index_cap: int = 12) -> str:
+    """Three-valued verdict on a_alpha / pi^{r |alpha|} -> 0 for every r.
+
+    Positive verdicts come only from the structured bound (conditions (a)
+    and (c) are certified by independent paths and must agree).  Negative
+    verdicts need an explicit witness: for some r <= r_max with 2r <=
+    index_cap, the per-degree valuation trend v - r k v(pi) bottoms out at
+    the final degree, falls strictly across the last quarter, and ends at
+    least v(pi) below its first-half minimum.  The 2r <= index_cap guard
+    avoids mistaking the front slope of a quadratic family for growth.
+    """
+    vpi = family.field.pi_valuation
+    if family.bound is not None:
+        for k in range(min(3, index_cap) + 1):
+            for alpha in mi_with_total(family.dim, k):
+                truth = family.member(alpha).gauss_valuation()
+                if truth < NormValue.of(family.bound(k)):
+                    raise ValueError(
+                        f"declared bound exceeds the true valuation at {alpha}: "
+                        f"{family.bound(k)} > {truth}")
+        via_vanishing = _certifies_vanishing_all_ratios(family.bound)
+        via_bounded = _certifies_bounded_all_ratios(family.bound, vpi)
+        assert via_vanishing == via_bounded, "certificate paths disagree"
+        if via_vanishing:
+            return DECREASING_WITNESSED
+
+    level_valuations: list[Fraction | None] = []
+    for k in range(index_cap + 1):
+        level = NormValue.infinite()
+        for alpha in mi_with_total(family.dim, k):
+            level = min(level, family.member(alpha).gauss_valuation())
+        level_valuations.append(level.valuation)
+
+    for r in range(1, r_max + 1):
+        if 2 * r > index_cap:
+            continue
+        trend = [None if v is None else v - r * k * vpi
+                 for k, v in enumerate(level_valuations)]
+        if _witnesses_growth(trend, vpi):
+            return NON_DECREASING_WITNESSED
+    return INCONCLUSIVE
+
+
+def _witnesses_growth(trend: list[Fraction | None], pi_valuation: Fraction) -> bool:
+    cap = len(trend) - 1
+    last = trend[cap]
+    if last is None:
+        return False
+    finite_head = [v for v in trend[:cap] if v is not None]
+    if len(finite_head) < len(trend[:cap]):
+        return False  # gaps in the family; refuse to extrapolate
+    if not all(last < v for v in finite_head):
+        return False
+    window = max(2, cap // 4)
+    for k in range(cap - window, cap):
+        if not trend[k + 1] < trend[k]:
+            return False
+    first_half_min = min(trend[: cap // 2 + 1])
+    return last <= first_half_min - pi_valuation
+
+
+# ---------------------------------------------------------------------------
+# operator text format: header lines, then "a1,...,ad : <polynomial>"
+
+
+def operator_to_text(P: DiffOperator) -> str:
+    lines = [
+        f"dim: {P.dim}",
+        f"backend: {P.field.name}",
+        f"normalization: {'divided' if P.divided else 'plain'}",
+        f"order: {P.order}",
+    ]
+    for alpha in sorted(P.coeffs):
+        lines.append(f"{','.join(str(a) for a in alpha)} : {poly_to_text(P.coeffs[alpha])}")
+    return "\n".join(lines) + "\n"
+
+
+def operator_from_text(text: str, field: Field | None = None) -> DiffOperator:
+    """Parse the operator file format; errors carry 1-based line numbers."""
+    headers: dict[str, str] = {}
+    body: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key: value' or 'index : polynomial'")
+        head = head.strip()
+        if head and head[0].isalpha():
+            headers[head] = tail.strip()
+        else:
+            body.append((lineno, head, tail.strip()))
+    if field is None:
+        if "backend" not in headers:
+            raise ValueError("no backend header and no backend supplied")
+        field = backend_from_name(headers["backend"])
+    elif "backend" in headers and backend_from_name(headers["backend"]) != field:
+        raise ValueError(f"operator file is written over {headers['backend']}, "
+                         f"but {field.name} was requested")
+    if "dim" in headers:
+        dim = int(headers["dim"])
+    elif body:
+        dim = len(body[0][1].split(","))
+    else:
+        raise ValueError("cannot infer dimension of an empty operator without a dim header")
+    divided = headers.get("normalization", "plain") == "divided"
+    coeffs: dict[MultiIndex, SparsePoly] = {}
+    for lineno, head, tail in body:
+        try:
+            alpha = tuple(int(part) for part in head.split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed derivative index {head!r}") from exc
+        if len(alpha) != dim:
+            raise ValueError(f"line {lineno}: index arity {len(alpha)} does not match dim {dim}")
+        if alpha in coeffs:
+            raise ValueError(f"line {lineno}: duplicate index {alpha}")
+        try:
+            coeffs[alpha] = poly_from_text(tail, field, dim)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    order = int(headers["order"]) if "order" in headers else None
+    return DiffOperator.make(field, dim, coeffs, order, divided)
+
+
+# ---------------------------------------------------------------------------
+# seeded random inputs (shared by the CLI fuzz modes and the test suite)
+
+
+def random_scalar(rng: random.Random, field: Field) -> Scalar:
+    if isinstance(field, PAdicField):
+        num = rng.choice([n for n in range(-9, 10) if n])
+        value = Fraction(num, rng.randint(1, 9)) * Fraction(field.p) ** rng.randint(-2, 2)
+        return field.from_rational(value)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exponent = Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2, 3]))
+        coeff = Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 4))
+        terms.append((exponent, coeff))
+    out = field.from_terms(terms)
+    return out if not out.is_zero else field.one()
+
+
+def random_poly(rng: random.Random, field: Field, dim: int, degree: int,
+                max_terms: int = 4) -> SparsePoly:
+    pool = list(mi_up_to_total(dim, degree))
+    support = rng.sample(pool, k=min(len(pool), rng.randint(1, max_terms)))
+    return SparsePoly.make(field, dim, [(e, random_scalar(rng, field)) for e in support])
+
+
+def random_operator(rng: random.Random, field: Field, dim: int, order: int,
+                    coeff_degree: int, max_support: int = 4) -> DiffOperator:
+    pool = list(mi_up_to_total(dim, order))
+    support = rng.sample(pool, k=min(len(pool), rng.randint(1, max_support)))
+    coeffs = {alpha: random_poly(rng, field, dim, coeff_degree) for alpha in support}
+    return DiffOperator.make(field, dim, coeffs, order, divided=rng.random() < 0.5)
