@@ -11,7 +11,6 @@ from .scalars import (
     PAdicField,
     Scalar,
     backend_from_name,
-    field_arith,
     format_valuation,
     parse_scalar,
     parse_valuation,

@@ -13,9 +13,11 @@ claim1 verifiers certify row by row.
 Expansions are exact.  The fast path writes the product F = prod (x -
 mu_i)^(e_i) (rational roots, denominators cleared) against its logarithmic
 derivative, A F' = B F with A the product of the distinct linear factors,
-and reads the coefficients off the resulting first-order recurrence; that
-is O(degree * #roots) big-integer work instead of O(degree^2), which is
-what makes degree ~28k members affordable in pure Python.
+and reads the coefficients off the resulting first-order recurrence.  Each
+coefficient costs one big x small product per lag, #roots lags in all: the
+two sums of the recurrence fold into one small-integer weight per lag.
+That is O(degree * #roots) big-integer work instead of O(degree^2), which
+is what makes degree ~28k members affordable in pure Python.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ class CosetRepScheme:
 
     def rep(self, i: int) -> Scalar:
         return self.field.from_rational(self.rep_rational_fn(i))
-
-    def rep_rational(self, i: int) -> Fraction:
-        return self.rep_rational_fn(i)
 
 
 def cycling_scheme(field: PAdicField) -> CosetRepScheme:
@@ -195,22 +194,21 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
     c[0] = c0
     a0 = A[0]
     for k in range(n):
+        # (k+1) a0 c[k+1] = sum over lags j of (B[j] - (k-j) A[j+1]) c[k-j]:
+        # the weight is a small int, so each lag costs one big x small product
         total = 0
-        for j in range(1, s + 1):
-            m = k - j + 1
-            if 0 <= m <= n and c[m]:
-                total -= A[j] * m * c[m]
-        for j in range(s):
+        for j in range(min(s, k + 1)):
             m = k - j
-            if 0 <= m <= n and c[m]:
-                total += B[j] * c[m]
+            total += (B[j] - A[j + 1] * m) * c[m]
         quotient, remainder = divmod(total, a0 * (k + 1))
-        assert remainder == 0, "coefficient recurrence produced a non-integer"
+        if remainder:
+            raise ArithmeticError("coefficient recurrence produced a non-integer")
         c[k + 1] = quotient
     lead = 1
     for _, q, e in pairs:
         lead *= q ** e
-    assert c[n] == lead, "coefficient recurrence lost the leading term"
+    if c[n] != lead:
+        raise ArithmeticError("coefficient recurrence lost the leading term")
 
     if lead == 1:
         coeffs = [Fraction(v) for v in c]
@@ -263,7 +261,7 @@ class RepProductFamily:
         hit = self._cache.get(alpha)
         if hit is not None:
             return hit
-        roots = [(self.scheme.rep_rational(beta), alpha * alpha) for beta in range(alpha + 1)]
+        roots = [(self.scheme.rep_rational_fn(beta), alpha * alpha) for beta in range(alpha + 1)]
         poly = _poly_from_rational_coeffs(self.field, _linear_power_product(roots))
         if alpha <= self._cache_alpha_limit:
             self._cache[alpha] = poly
@@ -286,7 +284,7 @@ class RepProductFamily:
         c = _as_rational(center)
         if c is None:
             return rescale_to_subdisc(self.member(alpha), (center,), (radius_valuation,))
-        roots = [(self.scheme.rep_rational(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
+        roots = [(self.scheme.rep_rational_fn(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
         coeffs = _linear_power_product(roots)
         return _poly_from_rational_coeffs(self.field, coeffs, radius_valuation)
 
@@ -459,7 +457,8 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
                 factor = SparsePoly.variable(field, 1, 0) \
                     - SparsePoly.constant(field, 1, family.scheme.rep(beta))
                 g = factor.gauss_valuation()
-                assert not g.is_infinite
+                if g.is_infinite:
+                    raise ArithmeticError(f"linear factor x - lambda_{beta} vanished")
                 rest_gauss += alpha * alpha * g.valuation
             binom_floor = min(
                 field.from_rational(math.comb(alpha + b, alpha)).valuation().valuation

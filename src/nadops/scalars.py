@@ -127,6 +127,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """v_p(n), n != 0: a bit scan for p = 2, else O(log v_p(n)) divisions by p^(2^i)."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    # climb p, p^2, p^4, ... while they divide (one division when p does not),
+    # then descend through the same powers
+    powers: list[int] = []
+    v = 0
+    q = p
+    while True:
+        quotient, remainder = divmod(n, q)
+        if remainder:
+            break
+        n = quotient
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in range(len(powers) - 1, -1, -1):
+        quotient, remainder = divmod(n, powers[i])
+        if not remainder:
+            n = quotient
+            v += 1 << i
+    return v
+
+
 def _normalize_hahn(terms: Iterable[tuple[Rational, Rational]]) -> HahnPayload:
     acc: dict[Fraction, Fraction] = {}
     for exponent, coeff in terms:
@@ -178,16 +203,8 @@ class PAdicField:
     def _valuation(self, payload: Fraction) -> Fraction | None:
         if payload == 0:
             return None
-        v = 0
-        n = payload.numerator
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        d = payload.denominator
-        while d % self.p == 0:
-            d //= self.p
-            v -= 1
-        return Fraction(v)
+        return Fraction(_int_valuation(payload.numerator, self.p)
+                        - _int_valuation(payload.denominator, self.p))
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """Some scalar of the requested valuation; here, a power of p.
@@ -209,7 +226,8 @@ class PAdicField:
             total += m // q
             q *= self.p
         result = Fraction(total)
-        assert result <= Fraction(m, self.p - 1)
+        if result > Fraction(m, self.p - 1):
+            raise ArithmeticError(f"v_p({m}!) = {result} exceeds the Legendre bound {m}/(p-1)")
         return result
 
     def factorial_rate(self) -> Fraction:
@@ -346,6 +364,13 @@ class Scalar:
         self._check_same_field(other)
         if isinstance(self.payload, Fraction):
             return Scalar(self.field, self.payload * other.payload)
+        a, b = self.payload, other.payload
+        if len(a) != 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts and scales: the result stays sorted and nonzero
+            (e, c), = a
+            return Scalar(self.field, tuple((e + eb, c * cb) for eb, cb in b))
         terms = [(ea + eb, ca * cb) for ea, ca in self.payload for eb, cb in other.payload]
         return Scalar(self.field, _normalize_hahn(terms))
 
@@ -444,20 +469,6 @@ def parse_scalar(text: str, field: Field) -> Scalar:
             raise ValueError(f"malformed Hahn term: {chunk!r}")
         terms.append((Fraction(m.group(2)), Fraction(m.group(1))))
     return field.from_terms(terms)
-
-
-def field_arith(a: Scalar, b: Scalar, op: str,
-                exponent_cutoff: Rational = DEFAULT_DIVISION_CUTOFF) -> Scalar:
-    """Named entry point for the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a.div(b, exponent_cutoff)
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 def backend_from_name(name: str) -> Field:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nadops.affinoid import Hole, SparsePoly, rescale_to_subdisc
 from nadops.counterexample import (
@@ -34,29 +35,88 @@ def naive_member(scheme: CosetRepScheme, alpha: int) -> SparsePoly:
     return out
 
 
+def two_loop_linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
+    """The recurrence as first written, with its two inner loops per
+    coefficient; the folded one in _linear_power_product must agree."""
+    merged: dict[Fraction, int] = {}
+    for mu, e in roots:
+        if e:
+            merged[mu] = merged.get(mu, 0) + e
+    if not merged:
+        return [Fraction(1)]
+    shift = merged.pop(Fraction(0), 0)
+    pairs = [(mu.numerator, mu.denominator, e) for mu, e in sorted(merged.items())]
+    if not pairs:
+        return [Fraction(0)] * shift + [Fraction(1)]
+    n = sum(e for _, _, e in pairs)
+
+    def poly_mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    linears = [[-p, q] for p, q, _ in pairs]
+    A = [1]
+    for lin in linears:
+        A = poly_mul(A, lin)
+    B = [0] * (len(A) - 1)
+    for i, (_, q, e) in enumerate(pairs):
+        partial = [1]
+        for other in linears[:i] + linears[i + 1:]:
+            partial = poly_mul(partial, other)
+        for j, y in enumerate(partial):
+            B[j] += e * q * y
+
+    s = len(pairs)
+    c = [0] * (n + 1)
+    c[0] = 1
+    for p, _, e in pairs:
+        c[0] *= (-p) ** e
+    for k in range(n):
+        total = 0
+        for j in range(1, s + 1):
+            m = k - j + 1
+            if 0 <= m <= n and c[m]:
+                total -= A[j] * m * c[m]
+        for j in range(s):
+            m = k - j
+            if 0 <= m <= n and c[m]:
+                total += B[j] * c[m]
+        quotient, remainder = divmod(total, A[0] * (k + 1))
+        assert remainder == 0
+        c[k + 1] = quotient
+    lead = 1
+    for _, q, e in pairs:
+        lead *= q ** e
+    assert c[n] == lead
+    return [Fraction(0)] * shift + [Fraction(v, lead) for v in c]
+
+
 # ---------------------------------------------------------------------------
 # representative schemes
 
 
 def test_cycling_scheme_walks_residues():
     scheme = cycling_scheme(P3)
-    assert [scheme.rep_rational(i) for i in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+    assert [scheme.rep_rational_fn(i) for i in range(7)] == [0, 1, 2, 0, 1, 2, 0]
     with pytest.raises(TypeError):
         cycling_scheme(HAHN)
 
 
 def test_integer_scheme():
     scheme = integer_scheme(HAHN)
-    assert [scheme.rep_rational(i) for i in range(4)] == [0, 1, 2, 3]
+    assert [scheme.rep_rational_fn(i) for i in range(4)] == [0, 1, 2, 3]
     with pytest.raises(TypeError):
         integer_scheme(P2)
 
 
 def test_rational_scheme_enumerates_all_of_q():
     scheme = rational_scheme(HAHN)
-    prefix = [scheme.rep_rational(i) for i in range(7)]
+    prefix = [scheme.rep_rational_fn(i) for i in range(7)]
     assert prefix == [0, 1, -1, Fraction(1, 2), -Fraction(1, 2), 2, -2]
-    seen = [scheme.rep_rational(i) for i in range(600)]
+    seen = [scheme.rep_rational_fn(i) for i in range(600)]
     assert len(set(seen)) == len(seen)  # injective enumeration
     with pytest.raises(TypeError):
         rational_scheme(P2)
@@ -82,6 +142,26 @@ def test_linear_power_product_examples():
     assert _linear_power_product([]) == [Fraction(1)]
     with pytest.raises(ValueError):
         _linear_power_product([(Fraction(1), -1)])
+
+
+ROOTS = st.lists(
+    st.tuples(st.one_of(st.just(Fraction(0)),
+                        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))),
+              st.integers(0, 7)),
+    max_size=6)
+
+
+@given(ROOTS)
+def test_folded_recurrence_matches_two_loop_recurrence(roots):
+    # non-integer roots, repeats and a root at 0 all come up in the draw
+    assert _linear_power_product(roots) == two_loop_linear_power_product(roots)
+
+
+def test_folded_recurrence_matches_two_loop_on_family_roots():
+    for alpha in (3, 5):
+        roots = [(Fraction(beta % 3) - Fraction(1, 2), alpha * alpha) for beta in range(alpha + 1)]
+        roots += [(Fraction(beta), alpha) for beta in range(-2, alpha)]
+        assert _linear_power_product(roots) == two_loop_linear_power_product(roots)
 
 
 def test_linear_power_product_merges_repeated_roots():

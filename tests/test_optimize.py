@@ -1,0 +1,45 @@
+"""The checks in the kernels run under ``python -O`` too.
+
+``-O`` strips every ``assert`` statement, so a check kept in one silently
+stops running.  The AST walk keeps asserts out of the listed modules, and
+the subprocess runs show that the counterexample reports come out the same
+with and without ``-O``.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nadops
+
+PACKAGE = Path(nadops.__file__).parent
+ASSERT_FREE = ("scalars.py", "counterexample.py")
+
+
+@pytest.mark.parametrize("name", ASSERT_FREE)
+def test_no_assert_statements(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{name} keeps checks in assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "claim2", "--backend", "p=2", "--alpha-max", "8"],
+    ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "3",
+     "--radius-valuation", "2", "--alpha-max", "6"],
+])
+def test_counterexample_report_is_the_same_under_optimize(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    env.pop("PYTHONOPTIMIZE", None)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "nadops.cli", *argv],
+                           capture_output=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+    plain, optimized = runs
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert plain.stdout and plain.stdout == optimized.stdout

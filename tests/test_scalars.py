@@ -9,8 +9,9 @@ from nadops.scalars import (
     NormValue,
     PAdicField,
     Scalar,
+    _int_valuation,
+    _normalize_hahn,
     backend_from_name,
-    field_arith,
     format_valuation,
     parse_scalar,
     parse_valuation,
@@ -30,6 +31,15 @@ def brute_factorial_valuation(m: int, p: int) -> int:
             total += 1
             k //= p
     return total
+
+
+# the one-factor-at-a-time loop that _int_valuation replaced, kept as its oracle
+def loop_int_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def padic_scalars(field):
@@ -89,6 +99,34 @@ def test_padic_valuation_examples():
     assert P3.from_rational(Fraction(1, 3)).valuation() == NormValue.of(-1)
     assert P5.from_rational(250).valuation() == NormValue.of(3)
     assert P2.zero().valuation().is_infinite
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+NONZERO = st.integers(-10**40, 10**40).filter(bool)
+
+
+@given(PRIMES, NONZERO, st.integers(0, 300))
+def test_int_valuation_matches_loop(p, unit, k):
+    n = unit * p ** k
+    assert _int_valuation(n, p) == loop_int_valuation(n, p)
+
+
+@given(PRIMES, NONZERO, st.integers(1, 10**12), st.integers(0, 300), st.integers(0, 300))
+def test_padic_valuation_matches_loop(p, num, den, k_num, k_den):
+    # denominators divisible by p are part of the draw
+    q = Fraction(num * p ** k_num, den * p ** k_den)
+    want = loop_int_valuation(q.numerator, p) - loop_int_valuation(q.denominator, p)
+    assert PAdicField(p)._valuation(q) == want
+    assert PAdicField(p).from_rational(q).valuation() == NormValue.of(want)
+
+
+def test_int_valuation_edges():
+    assert _int_valuation(1, 2) == 0
+    assert _int_valuation(-1, 3) == 0
+    assert _int_valuation(-(2 ** 1000), 2) == 1000
+    assert _int_valuation(3 ** 1023 * 7, 3) == 1023
+    assert _int_valuation(5 ** 1024, 5) == 1024
+    assert _int_valuation(7 ** 255 * 2, 7) == 255
 
 
 def test_padic_arithmetic_example():
@@ -165,6 +203,20 @@ def test_padic_division_inverts_multiplication(a, b):
 
 # ---------------------------------------------------------------------------
 # Hahn field
+
+
+# monomials: one term, negative and fractional exponents, negative coefficients
+HAHN_MONOMIALS = st.tuples(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)),
+).map(lambda term: HAHN.from_terms([term]))
+
+
+@given(HAHN_MONOMIALS, st.one_of(hahn_scalars(), HAHN_MONOMIALS), st.booleans())
+def test_hahn_monomial_product_matches_general_path(mono, other, mono_first):
+    a, b = (mono, other) if mono_first else (other, mono)
+    terms = [(ea + eb, ca * cb) for ea, ca in a.payload for eb, cb in b.payload]
+    assert (a * b).payload == _normalize_hahn(terms)
 
 
 def test_hahn_valuation_examples():
@@ -276,17 +328,6 @@ def test_scalar_text_roundtrip_fuzz_padic(s):
 @given(hahn_scalars())
 def test_scalar_text_roundtrip_fuzz_hahn(s):
     assert parse_scalar(s.to_text(), HAHN) == s
-
-
-def test_field_arith_dispatch():
-    a = P2.from_rational(6)
-    b = P2.from_rational(4)
-    assert field_arith(a, b, "add") == P2.from_rational(10)
-    assert field_arith(a, b, "sub") == P2.from_rational(2)
-    assert field_arith(a, b, "mul") == P2.from_rational(24)
-    assert field_arith(a, b, "div") == P2.from_rational(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        field_arith(a, b, "pow")
 
 
 def test_backend_from_name():
