@@ -13,7 +13,6 @@ from .scalars import (
     backend_from_name,
     format_valuation,
     parse_scalar,
-    parse_valuation,
 )
 from .affinoid import (
     Domain,

@@ -433,16 +433,16 @@ def sup_norm(f: SparsePoly, domain: Domain) -> NormValue:
     return rescale_to_subdisc(f, domain.center, domain.radius_valuations).gauss_valuation()
 
 
-def laurent_basis_derivative(alpha: int, beta: int, hole: Hole) -> tuple[Scalar, int]:
-    """Divided-power derivative of the hole basis function, in closed form.
+def laurent_basis_derivative(field: Field, alpha: int, beta: int) -> tuple[Scalar, int]:
+    """Divided-power derivative of a hole basis function, in closed form.
 
     With z = (tau/(x-a))^(beta+1), the quotient (d/dx)^(alpha) z / z equals
-    (-1)^alpha * C(alpha+beta, alpha) * (x-a)^(-alpha).  Returns that scalar
-    factor and the pole order alpha.
+    (-1)^alpha * C(alpha+beta, alpha) * (x-a)^(-alpha) whatever the hole
+    (a, tau).  Returns that scalar factor over ``field`` and the pole order
+    alpha.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("orders must be natural numbers")
-    field = hole.center.field
     factor = field.from_rational((-1) ** alpha * math.comb(alpha + beta, alpha))
     return factor, alpha
 

@@ -2,9 +2,11 @@
 machine-readable output.
 
 Every command prints one JSON document (or its flattened CSV rows) and exits
-0 exactly when every reported check passed.  Reports never contain
-timestamps or environment details and all randomness flows through --seed,
-so a rerun with the same arguments is byte-identical.
+0 exactly when every reported check passed, 1 when a check ran and failed,
+and 2 with a one-line error on bad input, including input that leaves no
+check to run.  Reports never contain timestamps or environment details and
+all randomness flows through --seed, so a rerun with the same arguments is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _scalar_arg(text: str, field: Field) -> Scalar:
     """Accept a plain rational like 3 or -1/2, or the full scalar syntax."""
     try:
         return field.from_rational(Fraction(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return parse_scalar(text, field)
 
 
@@ -108,7 +110,7 @@ def _cmd_identity(args) -> tuple[dict, list[dict]]:
             for alpha in mi_box(gamma):
                 combinatorial_delta(alpha, gamma)
                 count += 1
-        except AssertionError:
+        except ArithmeticError:
             ok = False
         rows.append({"gamma": list(gamma), "checks": count, "pass": ok})
     report = {
@@ -177,7 +179,7 @@ def _cmd_norms(args) -> tuple[dict, list[dict]]:
             "sup": format_valuation(sup_norm(a, domain)),
             "pass": True,
         })
-    seminorm_r = Fraction(args.radius_valuation)
+    seminorm_r = args.radius_valuation
     report = {
         "command": "norms",
         "backend": field.name,
@@ -206,10 +208,9 @@ def _cmd_counterexample(args) -> tuple[dict, list[dict]]:
         if args.mode in ("disc", "both"):
             center = _scalar_arg(args.center, field)
             reports.append(verify_claim1_disc(
-                family, center, Fraction(args.radius_valuation), args.alpha_max))
+                family, center, args.radius_valuation, args.alpha_max))
         if args.mode in ("laurent", "both"):
-            hole = Hole(_scalar_arg(args.hole_center, field),
-                        Fraction(args.hole_radius_valuation))
+            hole = Hole(_scalar_arg(args.hole_center, field), args.hole_radius_valuation)
             reports.append(verify_claim1_laurent(
                 family, hole, args.alpha_max, args.beta_max, args.delta_max))
     report = {
@@ -269,41 +270,33 @@ def _builtin_sample(field: Field) -> DiffOperator:
     return DiffOperator.make(field, 1, coeffs, divided=True)
 
 
+# (row label, argv) per backend; each argv restates only what differs from
+# the parser's defaults
+_SUITE_RUNS = [
+    ("roundtrip", ["roundtrip", "--count", "5", "--d", "2", "--alpha-max", "2"]),
+    ("classify", ["classify", "--index-cap", "8"]),
+    ("claim2", ["counterexample", "claim2", "--alpha-max", "8"]),
+    ("claim1", ["counterexample", "claim1", "--alpha-max", "6", "--beta-max", "4",
+                "--delta-max", "6"]),
+]
+
+
 def _cmd_suite(args) -> tuple[dict, list[dict]]:
     backends = ["p=2", "hahn"]
+    parser = build_parser()
     reports = []
     rows: list[dict] = []
 
-    ident_report, ident_rows = _cmd_identity(argparse.Namespace(
-        seed=args.seed, gamma_cap=4, d=2))
-    reports.append(ident_report)
-    rows.extend(dict(r, report="identity") for r in ident_rows)
+    def run(label: str, argv: list[str], backend: str) -> None:
+        sub = parser.parse_args([*argv, "--backend", backend, "--seed", str(args.seed)])
+        sub_report, sub_rows = sub.handler(sub)
+        reports.append(sub_report)
+        rows.extend(dict(r, report=label) for r in sub_rows)
 
+    run("identity", ["identity", "--gamma-cap", "4"], backends[0])
     for backend in backends:
-        sub = argparse.Namespace(backend=backend, seed=args.seed, count=5, d=2,
-                                 alpha_max=2, degree_cap=2, operator=None)
-        rt_report, rt_rows = _cmd_roundtrip(sub)
-        reports.append(rt_report)
-        rows.extend(dict(r, report=f"roundtrip/{backend}") for r in rt_rows)
-
-        cl_report, cl_rows = _cmd_classify(argparse.Namespace(
-            backend=backend, seed=args.seed, r_max=3, index_cap=8))
-        reports.append(cl_report)
-        rows.extend(dict(r, report=f"classify/{backend}") for r in cl_rows)
-
-        ce2_report, ce2_rows = _cmd_counterexample(argparse.Namespace(
-            backend=backend, seed=args.seed, claim="claim2", scheme="default",
-            alpha_max=8, mode="both", center="0", radius_valuation="1",
-            hole_center="0", hole_radius_valuation="1", beta_max=4, delta_max=6))
-        reports.append(ce2_report)
-        rows.extend(dict(r, report=f"claim2/{backend}") for r in ce2_rows)
-
-        ce1_report, ce1_rows = _cmd_counterexample(argparse.Namespace(
-            backend=backend, seed=args.seed, claim="claim1", scheme="default",
-            alpha_max=6, mode="both", center="0", radius_valuation="1",
-            hole_center="0", hole_radius_valuation="1", beta_max=4, delta_max=6))
-        reports.append(ce1_report)
-        rows.extend(dict(r, report=f"claim1/{backend}") for r in ce1_rows)
+        for name, argv in _SUITE_RUNS:
+            run(f"{name}/{backend}", argv, backend)
 
         field = backend_from_name(backend)
         inner = coefficient_decay_report(_builtin_sample(field), 1,
@@ -328,6 +321,24 @@ def _cmd_suite(args) -> tuple[dict, list[dict]]:
 # argument parsing and dispatch
 
 
+def _natural(minimum: int):
+    """argparse type: an integer >= minimum."""
+    def natural(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return natural
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational number such as 2, -3 or 3/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="p=2",
                         help="'hahn' or 'p=<prime>' (default p=2)")
@@ -345,31 +356,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="recover operator coefficients from monomial actions")
     _add_common(p)
-    p.add_argument("--count", type=int, default=25, help="number of seeded operators")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--alpha-max", type=int, default=3, help="truncation order")
-    p.add_argument("--degree-cap", type=int, default=2, help="coefficient degree")
+    p.add_argument("--count", type=_natural(1), default=25, help="number of seeded operators")
+    p.add_argument("--d", type=_natural(1), default=1)
+    p.add_argument("--alpha-max", type=_natural(0), default=3, help="truncation order")
+    p.add_argument("--degree-cap", type=_natural(0), default=2, help="coefficient degree")
     p.add_argument("--operator", help="check this operator file instead of fuzzing")
     p.set_defaults(handler=_cmd_roundtrip)
 
     p = sub.add_parser("identity", help="alternating factorial sum collapses to a delta")
     _add_common(p)
-    p.add_argument("--gamma-cap", type=int, default=8)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--gamma-cap", type=_natural(0), default=8)
+    p.add_argument("--d", type=_natural(1), default=2)
     p.set_defaults(handler=_cmd_identity)
 
     p = sub.add_parser("classify", help="rapid-decrease verdicts for worked families")
     _add_common(p)
-    p.add_argument("--r-max", type=int, default=3)
-    p.add_argument("--index-cap", type=int, default=12)
+    p.add_argument("--r-max", type=_natural(0), default=3)
+    p.add_argument("--index-cap", type=_natural(0), default=12)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("norms", help="gauss / sup / seminorm / norm-bracket queries")
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--domain", help="domain descriptor as JSON")
-    p.add_argument("--radius-valuation", default="0", help="seminorm radius valuation")
-    p.add_argument("--degree-cap", type=int, default=None,
+    p.add_argument("--radius-valuation", type=_rational, default="0",
+                   help="seminorm radius valuation")
+    p.add_argument("--degree-cap", type=_natural(0), default=None,
                    help="monomial degree cap for the norm bracket")
     p.set_defaults(handler=_cmd_norms)
 
@@ -378,28 +390,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--scheme", choices=("default", "rational"), default="default",
                    help="rational = enumerate all residue classes (hahn only)")
-    p.add_argument("--alpha-max", type=int, default=10)
+    p.add_argument("--alpha-max", type=_natural(0), default=10)
     p.add_argument("--mode", choices=("disc", "laurent", "both"), default="both",
                    help="claim1 only: which subdomain estimates to run")
     p.add_argument("--center", default="0", help="disc center (rational or scalar syntax)")
-    p.add_argument("--radius-valuation", default="1")
+    p.add_argument("--radius-valuation", type=_rational, default="1")
     p.add_argument("--hole-center", default="0")
-    p.add_argument("--hole-radius-valuation", default="1")
-    p.add_argument("--beta-max", type=int, default=5, help="hole basis cap")
-    p.add_argument("--delta-max", type=int, default=8, help="monomial basis cap")
+    p.add_argument("--hole-radius-valuation", type=_rational, default="1")
+    p.add_argument("--beta-max", type=_natural(0), default=5, help="hole basis cap")
+    p.add_argument("--delta-max", type=_natural(0), default=8, help="monomial basis cap")
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("symbol", help="emit the total symbol of an operator file")
     _add_common(p)
     p.add_argument("--operator", required=True)
-    p.add_argument("--degree-cap", type=int, default=None)
+    p.add_argument("--degree-cap", type=_natural(0), default=None)
     p.set_defaults(handler=_cmd_symbol)
 
     p = sub.add_parser("decay", help="coefficient decay forced by subdisc boundedness")
     _add_common(p)
     p.add_argument("--operator", required=True)
-    p.add_argument("--n", type=int, default=1, help="subdisc radius exponent")
-    p.add_argument("--degree-cap", type=int, default=None)
+    p.add_argument("--n", type=_natural(0), default=1, help="subdisc radius exponent")
+    p.add_argument("--degree-cap", type=_natural(0), default=None)
     p.set_defaults(handler=_cmd_decay)
 
     p = sub.add_parser("suite", help="the full desk-scale verification sweep")
@@ -427,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         report, rows = args.handler(args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not rows:
+        print("error: the input leaves no check to run", file=sys.stderr)
         return 2
     if args.format == "csv":
         sys.stdout.write(_to_csv(rows))

@@ -23,7 +23,7 @@ is what makes degree ~28k members affordable in pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -63,9 +63,8 @@ def _as_rational(x: Scalar) -> Fraction | None:
 class CosetRepScheme:
     """Integral representatives lambda_0, lambda_1, ... of residue classes.
 
-    rep_rational_fn is set when every representative is a rational constant,
-    which unlocks the integer expansion fast path; it is the case for all
-    shipped schemes.
+    Every representative is a rational constant, given by rep_rational_fn;
+    the integer expansion of the members relies on that.
     """
 
     field: Field
@@ -245,11 +244,6 @@ class RepProductFamily:
     """Member alpha: prod over beta <= alpha of (x - lambda_beta)^(alpha^2)."""
 
     scheme: CosetRepScheme
-    _cache: dict[int, SparsePoly] = dataclass_field(default_factory=dict)
-
-    # members up to this degree are kept; expansions of degree ~28k are
-    # hundreds of MB and must not accumulate across a sweep
-    _cache_alpha_limit: int = 12
 
     @property
     def field(self) -> Field:
@@ -258,14 +252,8 @@ class RepProductFamily:
     def member(self, alpha: int) -> SparsePoly:
         if alpha < 0:
             raise ValueError("family index must be a natural number")
-        hit = self._cache.get(alpha)
-        if hit is not None:
-            return hit
         roots = [(self.scheme.rep_rational_fn(beta), alpha * alpha) for beta in range(alpha + 1)]
-        poly = _poly_from_rational_coeffs(self.field, _linear_power_product(roots))
-        if alpha <= self._cache_alpha_limit:
-            self._cache[alpha] = poly
-        return poly
+        return _poly_from_rational_coeffs(self.field, _linear_power_product(roots))
 
     def member_expected_degree(self, alpha: int) -> int:
         return (alpha + 1) * alpha * alpha
@@ -288,17 +276,8 @@ class RepProductFamily:
         coeffs = _linear_power_product(roots)
         return _poly_from_rational_coeffs(self.field, coeffs, radius_valuation)
 
-    def normalized_member(self, alpha: int) -> SparsePoly:
-        """member(alpha) * pi^alpha / (alpha! * pi^(2 alpha))."""
-        field = self.field
-        weight = (field.uniformizer() ** (-alpha)).scaled(Fraction(1, math.factorial(alpha)))
-        return self.member(alpha).scale(weight)
-
     def family(self) -> CoefficientFamily:
         return CoefficientFamily(self.field, 1, lambda a: self.member(a[0]))
-
-    def normalized_family(self) -> CoefficientFamily:
-        return CoefficientFamily(self.field, 1, lambda a: self.normalized_member(a[0]))
 
     def matching_indices(self, center: Scalar, up_to: int) -> list[tuple[int, NormValue]]:
         """Indices beta <= up_to whose representative shares the center's
@@ -449,7 +428,7 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
                 core = Fraction(0)
             else:
                 core = alpha * min(alpha * vrho.valuation - vtau, Fraction(0))
-            pieces_ok = _decomposition_checks(field, hole, rho, alpha)
+            pieces_ok = _decomposition_checks(field, rho, alpha)
             rest_gauss = Fraction(0)
             for beta in range(alpha + 1):
                 if beta == gamma:
@@ -520,7 +499,7 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
     return report
 
 
-def _decomposition_checks(field: Field, hole: Hole, rho: Scalar, alpha: int) -> bool:
+def _decomposition_checks(field: Field, rho: Scalar, alpha: int) -> bool:
     """Exact checks behind the hole-side bound for one alpha.
 
     In the variable u = x - a:  (u + rho)^alpha = rho^alpha + u * f_alpha(u)
@@ -540,7 +519,7 @@ def _decomposition_checks(field: Field, hole: Hole, rho: Scalar, alpha: int) -> 
     integral_ok = f_alpha.is_zero or f_alpha.gauss_valuation() >= NormValue.of(0)
     factor_ok = True
     for beta in range(3):
-        scalar, pole_order = laurent_basis_derivative(alpha, beta, hole)
+        scalar, pole_order = laurent_basis_derivative(field, alpha, beta)
         factor_ok = factor_ok and scalar.valuation() >= NormValue.of(0) and pole_order == alpha
     return identity_ok and integral_ok and factor_ok
 
@@ -550,7 +529,7 @@ def verify_claim2(family: RepProductFamily, alpha_max: int) -> dict:
 
         gauss(member) + alpha v(pi) - v(alpha!) - 2 alpha v(pi) <= -alpha v(pi)
 
-    with gauss(member) asserted to be exactly 0.  The left side is the
+    with gauss(member) checked to be exactly 0.  The left side is the
     valuation of the alpha-th term of the pi-rescaled operator family; the
     inequality says those terms blow up at least like |pi|^{-alpha}.
     """

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .affinoid import (
     MultiIndex,
@@ -42,9 +42,8 @@ from .affinoid import (
     poly_from_text,
     poly_to_text,
     sup_norm,
-    unit_polydisc,
 )
-from .scalars import Field, HahnField, NormValue, PAdicField, Rational, Scalar, backend_from_name, format_valuation
+from .scalars import Field, NormValue, PAdicField, Rational, Scalar, backend_from_name, format_valuation
 
 DECREASING_WITNESSED = "decreasing-witnessed"
 NON_DECREASING_WITNESSED = "non-decreasing-witnessed"
@@ -97,10 +96,6 @@ class DiffOperator:
         if top > order:
             raise ValueError(f"coefficient index exceeds truncation order {order}")
         return cls(field, dim, clean, order, divided)
-
-    @classmethod
-    def zero(cls, field: Field, dim: int, order: int = 0) -> "DiffOperator":
-        return cls(field, dim, {}, order, False)
 
     @property
     def is_zero(self) -> bool:
@@ -262,8 +257,8 @@ def combinatorial_delta(alpha: MultiIndex, gamma: MultiIndex) -> int:
 
     sum over alpha <= beta <= gamma of (beta!/(beta-alpha)!) * C(gamma, beta)
     * (-1)^{|gamma - beta|}, which collapses to gamma! when alpha == gamma
-    and to 0 otherwise.  Computed by summation, asserted against the closed
-    form, returned as an int.
+    and to 0 otherwise.  Computed by summation, checked against the closed
+    form (ArithmeticError on a mismatch), returned as an int.
     """
     from .affinoid import mi_falling, mi_le
 
@@ -275,7 +270,8 @@ def combinatorial_delta(alpha: MultiIndex, gamma: MultiIndex) -> int:
             continue
         total += mi_falling(beta, alpha) * mi_binomial(gamma, beta) * (-1) ** mi_total(mi_sub(gamma, beta))
     expected = mi_factorial(gamma) if alpha == gamma else 0
-    assert total == expected, f"delta identity failed at alpha={alpha}, gamma={gamma}"
+    if total != expected:
+        raise ArithmeticError(f"delta identity failed at alpha={alpha}, gamma={gamma}")
     return total
 
 
@@ -397,7 +393,8 @@ def operator_norm_bracket(P: DiffOperator, domain: Polydisc,
     for alpha, b in conj.coeffs.items():
         v = b.gauss_valuation() + NormValue.of(field_factorial_valuation(P.field, alpha))
         upper_val = min(upper_val, v)
-    assert upper_val <= lower_val, "norm bracket inverted"
+    if not upper_val <= lower_val:
+        raise ArithmeticError("norm bracket inverted")
     return NormValue(lower_val.valuation), NormValue(upper_val.valuation)
 
 
@@ -499,33 +496,17 @@ class CoefficientFamily:
         return poly
 
 
-def _certifies_vanishing_all_ratios(bound: DecayBound) -> bool:
-    # condition (a): L(k) - r k v(pi) -> infinity for every natural r.
-    # Quadratic growth beats every linear drain; nothing weaker can,
-    # because r is unbounded.
-    return bound.quad > 0
-
-
-def _certifies_bounded_all_ratios(bound: DecayBound, pi_valuation: Fraction) -> bool:
-    # condition (c): inf_k (L(k) - r k v(pi)) finite for every natural r.
-    if bound.quad > 0:
-        return True  # an upward parabola is bounded below for each fixed r
-    # linear bounds lose to r > slope / v(pi); v(pi) > 0 by construction
-    assert pi_valuation > 0
-    return False
-
-
 def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
                          index_cap: int = 12) -> str:
     """Three-valued verdict on a_alpha / pi^{r |alpha|} -> 0 for every r.
 
-    Positive verdicts come only from the structured bound (conditions (a)
-    and (c) are certified by independent paths and must agree).  Negative
-    verdicts need an explicit witness: for some r <= r_max with 2r <=
-    index_cap, the per-degree valuation trend v - r k v(pi) bottoms out at
-    the final degree, falls strictly across the last quarter, and ends at
-    least v(pi) below its first-half minimum.  The 2r <= index_cap guard
-    avoids mistaking the front slope of a quadratic family for growth.
+    Positive verdicts come only from the structured bound, and only when its
+    quadratic part is positive.  Negative verdicts need an explicit witness:
+    for some r <= r_max with 2r <= index_cap, the per-degree valuation trend
+    v - r k v(pi) bottoms out at the final degree, falls strictly across the
+    last quarter, and ends at least v(pi) below its first-half minimum.  The
+    2r <= index_cap guard avoids mistaking the front slope of a quadratic
+    family for growth.
     """
     vpi = family.field.pi_valuation
     if family.bound is not None:
@@ -536,10 +517,9 @@ def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
                     raise ValueError(
                         f"declared bound exceeds the true valuation at {alpha}: "
                         f"{family.bound(k)} > {truth}")
-        via_vanishing = _certifies_vanishing_all_ratios(family.bound)
-        via_bounded = _certifies_bounded_all_ratios(family.bound, vpi)
-        assert via_vanishing == via_bounded, "certificate paths disagree"
-        if via_vanishing:
+        # L(k) - r k v(pi) must grow without bound for every natural r; r is
+        # unbounded, so only quadratic growth beats every linear drain
+        if family.bound.quad > 0:
             return DECREASING_WITNESSED
 
     level_valuations: list[Fraction | None] = []

@@ -43,8 +43,7 @@ class NormValue:
     ``valuation`` is a Fraction, or None for +infinity (the zero element).
     The ordering implemented here is the valuation ordering with +infinity
     greatest.  Norm comparisons are the reverse: |x| <= |y| exactly when
-    x's valuation is >= y's.  Use norm_le/norm_lt when comparing as norms,
-    so call sites stay readable.
+    x's valuation is >= y's.
     """
 
     valuation: Fraction | None
@@ -67,12 +66,6 @@ class NormValue:
             return NormValue(None)
         return NormValue(self.valuation + other.valuation)
 
-    def scaled(self, k: Rational) -> "NormValue":
-        """Valuation of a k-th power, k >= 0.  0 * infinity is 0 here."""
-        if self.valuation is None:
-            return NormValue(Fraction(0)) if k == 0 else self
-        return NormValue(self.valuation * Fraction(k))
-
     def _key(self) -> tuple[int, Fraction]:
         return (1, Fraction(0)) if self.valuation is None else (0, self.valuation)
 
@@ -88,13 +81,6 @@ class NormValue:
     def __ge__(self, other: "NormValue") -> bool:
         return other <= self
 
-    def norm_le(self, other: "NormValue") -> bool:
-        """|self| <= |other|, i.e. the reversed valuation comparison."""
-        return self >= other
-
-    def norm_lt(self, other: "NormValue") -> bool:
-        return self > other
-
     def __str__(self) -> str:
         return "inf" if self.valuation is None else str(self.valuation)
 
@@ -107,13 +93,6 @@ def format_valuation(value: "NormValue | Rational") -> str:
     if isinstance(value, NormValue):
         return str(value)
     return str(Fraction(value))
-
-
-def parse_valuation(text: str) -> NormValue:
-    text = text.strip()
-    if text == "inf":
-        return NormValue.infinite()
-    return NormValue.of(Fraction(text))
 
 
 def _is_prime(n: int) -> bool:
@@ -169,14 +148,10 @@ class PAdicField:
     """Rationals with the p-adic valuation, normalized so v(p) = 1."""
 
     p: int
-    pi_payload: Fraction | None = None  # None means the default uniformizer p
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if self.pi_payload is not None:
-            if self.pi_payload == 0 or self._valuation(self.pi_payload) <= 0:
-                raise ValueError("uniformizer must have strictly positive valuation")
 
     @property
     def name(self) -> str:
@@ -192,13 +167,12 @@ class PAdicField:
         return Scalar(self, Fraction(q))
 
     def uniformizer(self) -> "Scalar":
-        return Scalar(self, self.pi_payload if self.pi_payload is not None else Fraction(self.p))
+        return Scalar(self, Fraction(self.p))
 
     @property
     def pi_valuation(self) -> Fraction:
-        if self.pi_payload is None:
-            return Fraction(1)
-        return self._valuation(self.pi_payload)
+        """v(pi) for the uniformizer pi = p."""
+        return Fraction(1)
 
     def _valuation(self, payload: Fraction) -> Fraction | None:
         if payload == 0:
@@ -250,14 +224,6 @@ class HahnField:
     units and the factorial valuation is identically zero.
     """
 
-    pi_payload: HahnPayload | None = None  # None means the default uniformizer t
-
-    def __post_init__(self) -> None:
-        if self.pi_payload is not None:
-            v = self._valuation(self.pi_payload)
-            if v is None or v <= 0:
-                raise ValueError("uniformizer must have strictly positive valuation")
-
     @property
     def name(self) -> str:
         return "hahn"
@@ -277,15 +243,12 @@ class HahnField:
         return Scalar(self, _normalize_hahn(terms))
 
     def uniformizer(self) -> "Scalar":
-        if self.pi_payload is not None:
-            return Scalar(self, self.pi_payload)
         return Scalar(self, ((Fraction(1), Fraction(1)),))
 
     @property
     def pi_valuation(self) -> Fraction:
-        if self.pi_payload is None:
-            return Fraction(1)
-        return self._valuation(self.pi_payload)
+        """v(pi) for the uniformizer pi = t."""
+        return Fraction(1)
 
     @staticmethod
     def _valuation(payload: HahnPayload) -> Fraction | None:
@@ -445,8 +408,9 @@ class Scalar:
         return self.to_text()
 
 
-_PADIC_RE = re.compile(r"^(-?\d+)/(\d+)@(\d+)$")
-_HAHN_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*t\^\((-?\d+(?:/\d+)?)\)$")
+_DENOMINATOR = r"0*[1-9]\d*"  # digits, not all zero
+_PADIC_RE = re.compile(rf"^(-?\d+)/({_DENOMINATOR})@(\d+)$")
+_HAHN_TERM_RE = re.compile(rf"^(-?\d+(?:/{_DENOMINATOR})?)\*t\^\((-?\d+(?:/{_DENOMINATOR})?)\)$")
 
 
 def parse_scalar(text: str, field: Field) -> Scalar:

@@ -255,20 +255,18 @@ def pole_derivative_oracle(alpha: int, beta: int) -> Fraction:
 
 
 def test_laurent_basis_derivative_examples():
-    hole = Hole(P2.zero(), Fraction(1))
-    factor, pole = laurent_basis_derivative(1, 0, hole)
+    factor, pole = laurent_basis_derivative(P2, 1, 0)
     assert (factor, pole) == (P2.from_rational(-1), 1)
-    factor, pole = laurent_basis_derivative(0, 5, hole)
+    factor, pole = laurent_basis_derivative(P2, 0, 5)
     assert (factor, pole) == (P2.one(), 0)
-    factor, pole = laurent_basis_derivative(2, 1, hole)
+    factor, pole = laurent_basis_derivative(P2, 2, 1)
     assert (factor, pole) == (P2.from_rational(3), 2)
 
 
 def test_laurent_basis_derivative_matches_pole_oracle():
-    hole = Hole(HAHN.from_rational(2), Fraction(1))
     for alpha in range(7):
         for beta in range(7):
-            factor, pole = laurent_basis_derivative(alpha, beta, hole)
+            factor, pole = laurent_basis_derivative(HAHN, alpha, beta)
             assert pole == alpha
             assert factor == HAHN.from_rational(pole_derivative_oracle(alpha, beta))
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nadops.cli
 from nadops.cli import main
 
 SAMPLE_OP = """\
@@ -34,6 +39,50 @@ def test_identity_json(capsys):
     assert report["command"] == "identity"
     assert report["pass"]
     assert all(row["pass"] for row in report["rows"])
+
+
+def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
+    real = nadops.cli.combinatorial_delta
+
+    def broken(alpha, gamma):
+        if tuple(gamma) == (1, 0):
+            raise ArithmeticError("delta identity failed")
+        return real(alpha, gamma)
+
+    monkeypatch.setattr(nadops.cli, "combinatorial_delta", broken)
+    code, out, _ = run(capsys, "identity", "--gamma-cap", "2", "--d", "2")
+    assert code == 1
+    rows = {tuple(row["gamma"]): row["pass"] for row in json.loads(out)["rows"]}
+    assert rows.pop((1, 0)) is False
+    assert all(rows.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "claim1", "--center", "1/0"],
+    ["counterexample", "claim1", "--center", "1/0@2"],
+    ["counterexample", "claim1", "--radius-valuation", "1/0"],
+    ["roundtrip", "--d", "0"],
+    ["roundtrip", "--count", "-1"],
+    ["counterexample", "claim2", "--alpha-max", "-3"],
+    ["identity", "--gamma-cap", "-1"],
+    ["classify", "--index-cap", "-1"],
+])
+def test_bad_input_exits_two_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr and proc.stdout == ""
+
+
+def test_report_without_checks_is_not_a_pass(capsys, tmp_path):
+    path = tmp_path / "empty.op"
+    path.write_text("dim: 1\nbackend: p=2\n", encoding="utf-8")
+    for command in ("norms", "decay"):
+        code, out, err = run(capsys, command, "--operator", str(path))
+        assert code == 2 and out == ""
+        assert "no check" in err
 
 
 def test_roundtrip_seeded(capsys):

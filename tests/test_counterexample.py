@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -245,9 +246,11 @@ def test_member_on_subdisc_series_center_falls_back():
 
 
 def test_normalized_member_valuation():
+    # member(alpha) * pi^alpha / (alpha! * pi^(2 alpha))
     fam = RepProductFamily(cycling_scheme(P2))
     for alpha in range(4):
-        v = fam.normalized_member(alpha).gauss_valuation()
+        weight = (P2.uniformizer() ** (-alpha)).scaled(Fraction(1, math.factorial(alpha)))
+        v = fam.member(alpha).scale(weight).gauss_valuation()
         expected = -alpha * P2.pi_valuation - P2.factorial_valuation(alpha)
         assert v == NormValue.of(expected)
 

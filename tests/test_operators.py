@@ -174,7 +174,7 @@ def test_total_symbol_example():
 
 
 def test_roundtrip_report_on_zero_operator():
-    rep = roundtrip_report(DiffOperator.zero(P2, 1), operator_id="zero")
+    rep = roundtrip_report(DiffOperator.make(P2, 1, {}), operator_id="zero")
     assert rep["pass"] and rep["operator_id"] == "zero"
 
 
@@ -236,7 +236,7 @@ def test_radius_seminorm_examples():
     assert radius_seminorm(D, -2) == NormValue.of(-2)
     P = DiffOperator.make(P2, 1, {(1,): const(4), (0,): const(1)})
     assert radius_seminorm(P, -1) == NormValue.of(0)
-    assert radius_seminorm(DiffOperator.zero(P2, 1), -3).is_infinite
+    assert radius_seminorm(DiffOperator.make(P2, 1, {}), -3).is_infinite
 
 
 @given(st.integers(0, 10_000), st.integers(0, 3))
@@ -269,7 +269,7 @@ def test_norm_bracket_of_plain_derivative():
 
 
 def test_norm_bracket_of_zero_operator():
-    lower, upper = operator_norm_bracket(DiffOperator.zero(P2, 1), unit_polydisc(P2, 1))
+    lower, upper = operator_norm_bracket(DiffOperator.make(P2, 1, {}), unit_polydisc(P2, 1))
     assert lower.is_infinite and upper.is_infinite
 
 
@@ -307,7 +307,7 @@ def test_decay_report_for_plain_derivative():
 
 
 def test_decay_report_zero_operator_is_vacuous():
-    rep = coefficient_decay_report(DiffOperator.zero(P2, 1), 3)
+    rep = coefficient_decay_report(DiffOperator.make(P2, 1, {}), 3)
     assert rep["pass"] and rep["checks"] == []
 
 
@@ -368,17 +368,22 @@ def test_classifier_is_inconclusive_when_window_is_too_short():
     assert classify_rapid_decay(linear, r_max=3, index_cap=4) == INCONCLUSIVE
 
 
+def family_meeting(bound):
+    """member(k) = t^(L(k)) over Hahn: valuations equal to the declared bound."""
+    one = one_poly(HAHN)
+    return CoefficientFamily(
+        HAHN, 1, lambda a: one.scale(HAHN.element_of_valuation(bound(a[0]))), bound=bound)
+
+
 def test_classifier_certificate_paths_agree():
-    from nadops.operators import (
-        _certifies_bounded_all_ratios,
-        _certifies_vanishing_all_ratios,
-    )
-    upward = DecayBound(quad=Fraction(1, 2), shift=3)
-    flat = DecayBound(quad=Fraction(0), slope=Fraction(2))
-    assert _certifies_vanishing_all_ratios(upward)
-    assert _certifies_bounded_all_ratios(upward, Fraction(1))
-    assert not _certifies_vanishing_all_ratios(flat)
-    assert not _certifies_bounded_all_ratios(flat, Fraction(1))
+    # the bound certifies decay exactly when it is quadratic; otherwise the
+    # non-decaying members are witnessed
+    for quad in (Fraction(0), Fraction(1, 3), Fraction(2)):
+        expected = DECREASING_WITNESSED if quad > 0 else NON_DECREASING_WITNESSED
+        for slope in (Fraction(0), Fraction(1)):
+            for shift in (0, 2):
+                bound = DecayBound(quad=quad, slope=slope, shift=shift)
+                assert classify_rapid_decay(family_meeting(bound)) == expected, bound
 
 
 def test_family_generator_type_check():

@@ -1,9 +1,9 @@
-"""The checks in the kernels run under ``python -O`` too.
+"""The checks in the package run under ``python -O`` too.
 
 ``-O`` strips every ``assert`` statement, so a check kept in one silently
-stops running.  The AST walk keeps asserts out of the listed modules, and
-the subprocess runs show that the counterexample reports come out the same
-with and without ``-O``.
+stops running.  The AST walk keeps asserts out of every module of the
+package, and the subprocess runs show that the counterexample reports and
+the suite come out the same with and without ``-O``.
 """
 
 import ast
@@ -17,10 +17,10 @@ import pytest
 import nadops
 
 PACKAGE = Path(nadops.__file__).parent
-ASSERT_FREE = ("scalars.py", "counterexample.py")
+MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py"))
 
 
-@pytest.mark.parametrize("name", ASSERT_FREE)
+@pytest.mark.parametrize("name", MODULES)
 def test_no_assert_statements(name):
     tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -31,6 +31,7 @@ def test_no_assert_statements(name):
     ["counterexample", "claim2", "--backend", "p=2", "--alpha-max", "8"],
     ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "3",
      "--radius-valuation", "2", "--alpha-max", "6"],
+    ["suite", "--seed", "123"],
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv):
     env = dict(os.environ)
