@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -534,16 +535,49 @@ def domain_to_json(domain: Domain) -> dict:
     }
 
 
-def domain_from_json(obj: dict, field: Field) -> Domain:
+_RATIONAL_TEXT = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _json_rational(value: object, what: str) -> Fraction:
+    """A rational given as a JSON integer or as text such as '2' or '-3/2'."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value.strip()):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{what} must be a rational such as 2 or -3/2, got {value!r}")
+
+
+def _json_scalar(value: object, field: Field) -> Scalar:
+    if not isinstance(value, str):
+        raise ValueError(f"a center must be scalar text, got {value!r}")
+    return parse_scalar(value, field)
+
+
+def _json_list(obj: dict, key: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"a {obj['type']} descriptor needs a list under {key!r}, got {value!r}")
+    return value
+
+
+def domain_from_json(obj: object, field: Field) -> Domain:
+    """Inverse of domain_to_json; a malformed descriptor raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a domain descriptor must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "polydisc":
-        center = tuple(parse_scalar(c, field) for c in obj["center"])
-        radii = tuple(Fraction(r) for r in obj["radii"])
+        center = tuple(_json_scalar(c, field) for c in _json_list(obj, "center"))
+        radii = tuple(_json_rational(r, "a radius valuation") for r in _json_list(obj, "radii"))
         return Polydisc(center, radii)
     if kind == "holed_disc":
-        holes = tuple(
-            Hole(parse_scalar(h["center"], field), Fraction(h["radius_valuation"]))
-            for h in obj["holes"]
-        )
-        return HoledDisc(holes)
+        holes = []
+        for h in _json_list(obj, "holes"):
+            if not isinstance(h, dict):
+                raise ValueError(f"a hole must be a JSON object, got {h!r}")
+            holes.append(Hole(_json_scalar(h.get("center"), field),
+                              _json_rational(h.get("radius_valuation"), "a hole radius valuation")))
+        return HoledDisc(tuple(holes))
     raise ValueError(f"unknown domain type {kind!r}")

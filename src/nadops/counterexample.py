@@ -10,22 +10,34 @@ the full disc.  Restricted to a proper subdisc or a disc with holes, the
 matching factor (x - lambda_gamma)^(alpha^2) is small, which is what the
 claim1 verifiers certify row by row.
 
-Expansions are exact.  The fast path writes the product F = prod (x -
-mu_i)^(e_i) (rational roots, denominators cleared) against its logarithmic
+Expansions are exact.  The product F = prod (x - mu_i)^(e_i) (rational
+roots, denominators cleared) is written against its logarithmic
 derivative, A F' = B F with A the product of the distinct linear factors,
-and reads the coefficients off the resulting first-order recurrence.  Each
-coefficient costs one big x small product per lag, #roots lags in all: the
-two sums of the recurrence fold into one small-integer weight per lag.
-That is O(degree * #roots) big-integer work instead of O(degree^2), which
-is what makes degree ~28k members affordable in pure Python.
+and its coefficients are read off the resulting first-order recurrence.
+Each coefficient costs one big x small product per lag, s lags in all for
+s distinct nonzero roots: the two sums of the recurrence fold into one
+small-integer weight per lag.  That is O(degree * s) big-integer work
+instead of O(degree^2).
+
+The recurrence is a stream: it yields the integer numerators over one
+leading denominator, lowest degree first, and keeps only the last s of
+them, so reading it needs O(s) coefficients of memory however large the
+degree.  The integrality of every division is checked as each numerator is
+produced, and the leading term when the stream ends.  The claim-2 rows and
+the claim-1 disc rows need only a degree and a Gauss valuation, so they
+fold the stream into min over j of v(c_j) + j r, less v(lead), without
+building a polynomial; member and member_on_subdisc build theirs from the
+same stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from operator import mul
+from typing import Callable, Iterator, NamedTuple
 
 from .affinoid import (
     Hole,
@@ -41,7 +53,15 @@ from .operators import (
     apply_operator,
     classify_rapid_decay,
 )
-from .scalars import Field, HahnField, NormValue, PAdicField, Scalar, format_valuation
+from .scalars import (
+    Field,
+    HahnField,
+    NormValue,
+    PAdicField,
+    Scalar,
+    _int_valuation,
+    format_valuation,
+)
 
 
 def _as_rational(x: Scalar) -> Fraction | None:
@@ -137,26 +157,37 @@ def default_scheme(field: Field) -> CosetRepScheme:
 # exact expansion of products of powers of linear factors
 
 
-def _linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
-    """Ascending coefficients of prod (x - mu)^e, exactly.
+class _Expansion(NamedTuple):
+    """prod (x - mu)^e = x^shift * sum_j numerators[j] x^j / lead.
+
+    ``numerators`` is a one-shot iterator of exact ints, lowest degree first.
+    """
+
+    shift: int
+    lead: int
+    numerators: Iterator[int]
+
+
+def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
+    """prod (x - mu)^e as a stream of integer numerators over one denominator.
 
     Denominators are cleared, so the recurrence below runs over plain ints;
-    every division it performs is exact by construction.
+    every division it performs is exact by construction, and a remainder
+    raises ArithmeticError as the coefficient is produced.  Coefficient k+1
+    reads only the s coefficients before it (s distinct nonzero roots), so
+    the stream holds s of them at a time.  The last coefficient must equal
+    the leading denominator; that is checked when the stream ends.
     """
     merged: dict[Fraction, int] = {}
-    degree = 0
     for mu, e in roots:
         if e < 0:
             raise ValueError("negative multiplicity")
         if e:
             merged[mu] = merged.get(mu, 0) + e
-            degree += e
-    if degree == 0:
-        return [Fraction(1)]
     shift = merged.pop(Fraction(0), 0)
     live = sorted(merged.items())
     if not live:
-        return [Fraction(0)] * shift + [Fraction(1)]
+        return _Expansion(shift, 1, iter([1]))
 
     # factor x - p/q becomes (q x - p); H = prod (q x - p)^e is integral
     pairs = [(mu.numerator, mu.denominator, e) for mu, e in live]
@@ -185,53 +216,48 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
         for j, y in enumerate(partial):
             B[j] += w * y
 
+    # (k+1) a0 c[k+1] = sum over lags j of (B[j] - (k-j) A[j+1]) c[k-j]; the
+    # weight at lag j is base[j] - k A[j+1], a small int, so each lag costs
+    # one big x small product
     s = len(pairs)
-    c = [0] * (n + 1)
-    c0 = 1
-    for p, _, e in pairs:
-        c0 *= (-p) ** e
-    c[0] = c0
+    base = [B[j] + j * A[j + 1] for j in range(s)]
+    slope = A[1:]
     a0 = A[0]
-    for k in range(n):
-        # (k+1) a0 c[k+1] = sum over lags j of (B[j] - (k-j) A[j+1]) c[k-j]:
-        # the weight is a small int, so each lag costs one big x small product
-        total = 0
-        for j in range(min(s, k + 1)):
-            m = k - j
-            total += (B[j] - A[j + 1] * m) * c[m]
-        quotient, remainder = divmod(total, a0 * (k + 1))
-        if remainder:
-            raise ArithmeticError("coefficient recurrence produced a non-integer")
-        c[k + 1] = quotient
+    c0 = 1
     lead = 1
-    for _, q, e in pairs:
+    for p, q, e in pairs:
+        c0 *= (-p) ** e
         lead *= q ** e
-    if c[n] != lead:
-        raise ArithmeticError("coefficient recurrence lost the leading term")
 
-    if lead == 1:
-        coeffs = [Fraction(v) for v in c]
-    else:
-        coeffs = [Fraction(v, lead) for v in c]
-    return [Fraction(0)] * shift + coeffs
+    def numerators() -> Iterator[int]:
+        window = deque([c0], maxlen=s)  # c[k], c[k-1], ..., newest first
+        yield c0
+        for k in range(n):
+            total = sum(map(mul, [b - k * a for b, a in zip(base, slope)], window))
+            quotient, remainder = divmod(total, a0 * (k + 1))
+            if remainder:
+                raise ArithmeticError("coefficient recurrence produced a non-integer")
+            window.appendleft(quotient)
+            yield quotient
+        if window[0] != lead:
+            raise ArithmeticError("coefficient recurrence lost the leading term")
+
+    return _Expansion(shift, lead, numerators())
 
 
-def _poly_from_rational_coeffs(field: Field, coeffs: list[Fraction],
-                               scale_valuation: Fraction | None = None) -> SparsePoly:
-    """Sparse polynomial with coefficient j optionally scaled by pi-free
-    weight of valuation scale_valuation * j (used to finish a rescale)."""
+def _poly_from_expansion(field: Field, expansion: _Expansion,
+                         scale_valuation: Fraction | None = None) -> SparsePoly:
+    """Sparse polynomial of the expansion, coefficient j optionally scaled by
+    sigma^j with v(sigma) = scale_valuation (used to finish a rescale)."""
     items = {}
     sigma = None if scale_valuation is None else field.element_of_valuation(scale_valuation)
-    power = field.one()
-    for j, value in enumerate(coeffs):
-        if sigma is not None and j:
+    power = None if sigma is None else sigma ** expansion.shift
+    for j, value in enumerate(expansion.numerators, start=expansion.shift):
+        if value:
+            coeff = field.from_rational(Fraction(value, expansion.lead))
+            items[(j,)] = coeff if power is None else coeff * power
+        if power is not None:
             power = power * sigma
-        if value == 0:
-            continue
-        coeff = field.from_rational(value)
-        if sigma is not None and j:
-            coeff = coeff * power
-        items[(j,)] = coeff
     return SparsePoly(field, 1, items)
 
 
@@ -249,11 +275,15 @@ class RepProductFamily:
     def field(self) -> Field:
         return self.scheme.field
 
-    def member(self, alpha: int) -> SparsePoly:
+    def _expansion(self, alpha: int, center: Fraction) -> _Expansion:
+        """member(alpha) at x = center + y: the roots move to lambda_beta - center."""
         if alpha < 0:
             raise ValueError("family index must be a natural number")
-        roots = [(self.scheme.rep_rational_fn(beta), alpha * alpha) for beta in range(alpha + 1)]
-        return _poly_from_rational_coeffs(self.field, _linear_power_product(roots))
+        return _linear_power_product([(self.scheme.rep_rational_fn(beta) - center, alpha * alpha)
+                                      for beta in range(alpha + 1)])
+
+    def member(self, alpha: int) -> SparsePoly:
+        return _poly_from_expansion(self.field, self._expansion(alpha, Fraction(0)))
 
     def member_expected_degree(self, alpha: int) -> int:
         return (alpha + 1) * alpha * alpha
@@ -272,9 +302,47 @@ class RepProductFamily:
         c = _as_rational(center)
         if c is None:
             return rescale_to_subdisc(self.member(alpha), (center,), (radius_valuation,))
-        roots = [(self.scheme.rep_rational_fn(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
-        coeffs = _linear_power_product(roots)
-        return _poly_from_rational_coeffs(self.field, coeffs, radius_valuation)
+        return _poly_from_expansion(self.field, self._expansion(alpha, c), radius_valuation)
+
+    def _degree_and_gauss(self, alpha: int, center: Scalar | None = None,
+                          radius_valuation: Fraction = Fraction(0)) -> tuple[int, NormValue]:
+        """Degree and Gauss valuation of member_on_subdisc(alpha, center,
+        radius_valuation), or of member(alpha) when no center is given.
+
+        For a rational center this folds the expansion stream without
+        building a polynomial: the valuation is min over nonzero numerators
+        c_j of v(c_j) + j r, less v(lead).  Every coefficient is still
+        computed and checked.  Series centers take the generic rescale.
+        """
+        if radius_valuation < 0:
+            raise ValueError("radius valuation must be >= 0")
+        c = Fraction(0) if center is None else _as_rational(center)
+        if c is None:
+            xi = self.member_on_subdisc(alpha, center, radius_valuation)
+            return xi.degree(), xi.gauss_valuation()
+        self.field.element_of_valuation(radius_valuation)  # rejects r outside the value group
+        if isinstance(self.field, PAdicField):
+            p = self.field.p
+
+            def valuation(n: int) -> int:
+                return _int_valuation(n, p)
+        else:
+            def valuation(n: int) -> int:
+                return 0  # a nonzero rational constant is a Hahn unit
+
+        # min over j of v(c_j) + j r, times r's denominator to stay in ints;
+        # the stream ends on lead != 0, so some numerator is nonzero
+        r = Fraction(radius_valuation)
+        num, den = r.numerator, r.denominator
+        expansion = self._expansion(alpha, c)
+        degree, least = -1, None
+        for j, value in enumerate(expansion.numerators, start=expansion.shift):
+            if value:
+                degree = j
+                scaled = den * valuation(value) + num * j
+                if least is None or scaled < least:
+                    least = scaled
+        return degree, NormValue.of(Fraction(least, den) - valuation(expansion.lead))
 
     def family(self) -> CoefficientFamily:
         return CoefficientFamily(self.field, 1, lambda a: self.member(a[0]))
@@ -325,17 +393,10 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     gamma = matches[0][0] if matches else None
     gap_by_index = dict(matches)
 
-    restricted: dict[int, SparsePoly] = {}
-
-    def on_disc(alpha: int) -> SparsePoly:
-        if alpha not in restricted:
-            restricted[alpha] = family.member_on_subdisc(alpha, center, radius_valuation)
-        return restricted[alpha]
-
     rows = []
     all_rows_pass = True
     for alpha in range(alpha_max + 1):
-        lhs = on_disc(alpha).gauss_valuation()
+        _, lhs = family._degree_and_gauss(alpha, center, radius_valuation)
         bound = Fraction(0)
         for beta, gap in gap_by_index.items():
             if beta <= alpha:
@@ -355,7 +416,8 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     if gamma is not None:
         quad = _min_with_radius(gap_by_index[gamma], radius_valuation)
         witness = CoefficientFamily(
-            family.field, 1, lambda a: on_disc(a[0]),
+            family.field, 1,
+            lambda a: family.member_on_subdisc(a[0], center, radius_valuation),
             bound=DecayBound(quad=quad, shift=gamma))
         verdict = classify_rapid_decay(witness, r_max=3,
                                        index_cap=min(alpha_max, classify_index_cap))
@@ -538,10 +600,8 @@ def verify_claim2(family: RepProductFamily, alpha_max: int) -> dict:
     rows = []
     all_pass = True
     for alpha in range(alpha_max + 1):
-        xi = family.member(alpha)
-        expected_degree = family.member_expected_degree(alpha)
-        degree_ok = xi.degree() == expected_degree
-        gauss = xi.gauss_valuation()
+        degree, gauss = family._degree_and_gauss(alpha)
+        degree_ok = degree == family.member_expected_degree(alpha)
         gauss_ok = gauss == NormValue.of(0)
         lhs = gauss + NormValue.of(alpha * vpi
                                    - field.factorial_valuation(alpha)

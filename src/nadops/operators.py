@@ -574,10 +574,13 @@ def operator_to_text(P: DiffOperator) -> str:
 
 
 def operator_from_text(text: str, field: Field | None = None) -> DiffOperator:
-    """Parse the operator file format; errors carry 1-based line numbers."""
-    headers: dict[str, str] = {}
+    """Parse the operator file format; every error carries a 1-based line
+    number (the last line for a header missing from the whole file)."""
+    headers: dict[str, tuple[int, str]] = {}
     body: list[tuple[int, str, str]] = []
+    last = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        last = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -586,38 +589,61 @@ def operator_from_text(text: str, field: Field | None = None) -> DiffOperator:
             raise ValueError(f"line {lineno}: expected 'key: value' or 'index : polynomial'")
         head = head.strip()
         if head and head[0].isalpha():
-            headers[head] = tail.strip()
+            headers[head] = (lineno, tail.strip())
         else:
             body.append((lineno, head, tail.strip()))
-    if field is None:
-        if "backend" not in headers:
-            raise ValueError("no backend header and no backend supplied")
-        field = backend_from_name(headers["backend"])
-    elif "backend" in headers and backend_from_name(headers["backend"]) != field:
-        raise ValueError(f"operator file is written over {headers['backend']}, "
-                         f"but {field.name} was requested")
+    if "backend" in headers:
+        lineno, name = headers["backend"]
+        try:
+            written = backend_from_name(name)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        if field is None:
+            field = written
+        elif written != field:
+            raise ValueError(f"line {lineno}: operator file is written over {name}, "
+                             f"but {field.name} was requested")
+    elif field is None:
+        raise ValueError(f"line {last}: no backend header and no backend supplied")
+
+    def natural_header(key: str, minimum: int) -> int:
+        lineno, value = headers[key]
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if number is None or number < minimum:
+            raise ValueError(f"line {lineno}: header {key!r} must be an integer >= {minimum}, "
+                             f"got {value!r}")
+        return number
+
     if "dim" in headers:
-        dim = int(headers["dim"])
+        dim = natural_header("dim", 1)
     elif body:
         dim = len(body[0][1].split(","))
     else:
-        raise ValueError("cannot infer dimension of an empty operator without a dim header")
-    divided = headers.get("normalization", "plain") == "divided"
+        raise ValueError(f"line {last}: cannot infer dimension of an empty operator "
+                         f"without a dim header")
+    order = natural_header("order", 0) if "order" in headers else None
+    divided = headers.get("normalization", (0, "plain"))[1] == "divided"
     coeffs: dict[MultiIndex, SparsePoly] = {}
     for lineno, head, tail in body:
         try:
             alpha = tuple(int(part) for part in head.split(","))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed derivative index {head!r}") from exc
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"line {lineno}: negative derivative index {head!r}")
         if len(alpha) != dim:
             raise ValueError(f"line {lineno}: index arity {len(alpha)} does not match dim {dim}")
         if alpha in coeffs:
             raise ValueError(f"line {lineno}: duplicate index {alpha}")
+        if order is not None and sum(alpha) > order:
+            raise ValueError(f"line {lineno}: index {alpha} exceeds the truncation order {order}")
         try:
             coeffs[alpha] = poly_from_text(tail, field, dim)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    order = int(headers["order"]) if "order" in headers else None
     return DiffOperator.make(field, dim, coeffs, order, divided)
 
 

@@ -19,6 +19,10 @@ order: 2
 """
 
 
+# stands for the path of the sample_op file in parametrized argvs
+SAMPLE_PATH = "<sample.op>"
+
+
 @pytest.fixture
 def sample_op(tmp_path):
     path = tmp_path / "sample.op"
@@ -66,8 +70,13 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
     ["counterexample", "claim2", "--alpha-max", "-3"],
     ["identity", "--gamma-cap", "-1"],
     ["classify", "--index-cap", "-1"],
+    ["norms", "--operator", SAMPLE_PATH,
+     "--domain", '{"type":"polydisc","center":["0/1@2"],"radii":["1/0"]}'],
+    ["norms", "--operator", SAMPLE_PATH, "--domain", '{"type":"polydisc","radii":["1"]}'],
+    ["norms", "--operator", SAMPLE_PATH, "--domain", "[1]"],
 ])
-def test_bad_input_exits_two_without_traceback(argv):
+def test_bad_input_exits_two_without_traceback(argv, sample_op):
+    argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "nadops.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)

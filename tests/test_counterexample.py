@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nadops.affinoid import Hole, SparsePoly, rescale_to_subdisc
 from nadops.counterexample import (
@@ -23,6 +24,8 @@ from nadops.scalars import HahnField, NormValue, PAdicField
 P2 = PAdicField(2)
 P3 = PAdicField(3)
 HAHN = HahnField()
+SCHEMES = [cycling_scheme(P2), cycling_scheme(P3), cycling_scheme(PAdicField(5)),
+           integer_scheme(HAHN), rational_scheme(HAHN)]
 
 
 def naive_member(scheme: CosetRepScheme, alpha: int) -> SparsePoly:
@@ -34,6 +37,13 @@ def naive_member(scheme: CosetRepScheme, alpha: int) -> SparsePoly:
             - SparsePoly.constant(field, 1, scheme.rep(beta))
         out = out * linear ** (alpha * alpha)
     return out
+
+
+def expand(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
+    """The streamed expansion written out as ascending coefficients."""
+    expansion = _linear_power_product(roots)
+    return [Fraction(0)] * expansion.shift + [
+        Fraction(c, expansion.lead) for c in expansion.numerators]
 
 
 def two_loop_linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
@@ -133,14 +143,18 @@ def test_default_scheme_dispatch():
 
 
 def test_linear_power_product_examples():
-    assert _linear_power_product([(Fraction(2), 3)]) == [
+    assert expand([(Fraction(2), 3)]) == [
         Fraction(-8), Fraction(12), Fraction(-6), Fraction(1)]
-    assert _linear_power_product([(Fraction(1, 2), 2)]) == [
+    assert expand([(Fraction(1, 2), 2)]) == [
         Fraction(1, 4), Fraction(-1), Fraction(1)]
     # zero roots shift, the rest expand
-    assert _linear_power_product([(Fraction(0), 2), (Fraction(1), 1)]) == [
+    assert expand([(Fraction(0), 2), (Fraction(1), 1)]) == [
         Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
-    assert _linear_power_product([]) == [Fraction(1)]
+    assert expand([]) == [Fraction(1)]
+    # the stream is integral over the leading denominator
+    expansion = _linear_power_product([(Fraction(0), 1), (Fraction(1, 2), 2)])
+    assert (expansion.shift, expansion.lead) == (1, 4)
+    assert list(expansion.numerators) == [1, -4, 4]
     with pytest.raises(ValueError):
         _linear_power_product([(Fraction(1), -1)])
 
@@ -155,19 +169,19 @@ ROOTS = st.lists(
 @given(ROOTS)
 def test_folded_recurrence_matches_two_loop_recurrence(roots):
     # non-integer roots, repeats and a root at 0 all come up in the draw
-    assert _linear_power_product(roots) == two_loop_linear_power_product(roots)
+    assert expand(roots) == two_loop_linear_power_product(roots)
 
 
 def test_folded_recurrence_matches_two_loop_on_family_roots():
     for alpha in (3, 5):
         roots = [(Fraction(beta % 3) - Fraction(1, 2), alpha * alpha) for beta in range(alpha + 1)]
         roots += [(Fraction(beta), alpha) for beta in range(-2, alpha)]
-        assert _linear_power_product(roots) == two_loop_linear_power_product(roots)
+        assert expand(roots) == two_loop_linear_power_product(roots)
 
 
 def test_linear_power_product_merges_repeated_roots():
-    a = _linear_power_product([(Fraction(1), 2), (Fraction(1), 3)])
-    b = _linear_power_product([(Fraction(1), 5)])
+    a = expand([(Fraction(1), 2), (Fraction(1), 3)])
+    b = expand([(Fraction(1), 5)])
     assert a == b
 
 
@@ -263,6 +277,82 @@ def test_matching_indices():
     center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
     matches = famh.matching_indices(center, 5)
     assert matches == [(2, NormValue.of(1))]
+
+
+@st.composite
+def disc_cases(draw):
+    """A scheme, an index, a rational center and a radius valuation.
+
+    Half the centers sit on a representative, which puts a root at 0 (a
+    shift); the rest are drawn with denominators, which on the rational
+    scheme and off-representative centers gives a leading denominator > 1.
+    """
+    scheme = draw(st.sampled_from(SCHEMES))
+    alpha = draw(st.integers(0, 4))
+    center = draw(st.one_of(
+        st.integers(0, alpha + 2).map(scheme.rep_rational_fn),
+        st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))))
+    if isinstance(scheme.field, PAdicField):
+        radius = Fraction(draw(st.integers(0, 3)))
+    else:
+        radius = draw(st.builds(Fraction, st.integers(0, 7), st.integers(1, 4)))
+    return scheme, alpha, center, radius
+
+
+@given(st.sampled_from(SCHEMES), st.integers(0, 5))
+def test_fold_matches_member(scheme, alpha):
+    fam = RepProductFamily(scheme)
+    xi = fam.member(alpha)
+    assert fam._degree_and_gauss(alpha) == (xi.degree(), xi.gauss_valuation())
+
+
+@settings(deadline=None)
+@given(disc_cases())
+# a lead with positive valuation, and a root at 0 on the rational scheme
+@example((SCHEMES[0], 2, Fraction(1, 2), Fraction(1)))
+@example((SCHEMES[1], 2, Fraction(-4, 3), Fraction(2)))
+@example((SCHEMES[4], 3, Fraction(1, 2), Fraction(3, 2)))
+def test_fold_matches_member_on_subdisc(case):
+    scheme, alpha, c, r = case
+    fam = RepProductFamily(scheme)
+    center = scheme.field.from_rational(c)
+    xi = fam.member_on_subdisc(alpha, center, r)
+    folded = fam._degree_and_gauss(alpha, center, r)
+    assert folded == (xi.degree(), xi.gauss_valuation())
+    if center.valuation() >= NormValue.of(0):
+        generic = rescale_to_subdisc(fam.member(alpha), (center,), (r,))
+        assert folded == (generic.degree(), generic.gauss_valuation())
+
+
+def test_fold_on_series_center_takes_the_generic_rescale():
+    fam = RepProductFamily(integer_scheme(HAHN))
+    center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
+    generic = rescale_to_subdisc(fam.member(2), (center,), (Fraction(2),))
+    assert fam._degree_and_gauss(2, center, Fraction(2)) == (12, generic.gauss_valuation())
+
+
+def test_fold_rejects_radius_outside_value_group():
+    fam = RepProductFamily(cycling_scheme(P2))
+    with pytest.raises(ValueError):
+        fam._degree_and_gauss(2, P2.from_rational(1), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        fam.member_on_subdisc(2, P2.from_rational(1), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        fam._degree_and_gauss(-1)
+
+
+def test_claim2_holds_one_window_of_coefficients():
+    # the expansions are folded as they stream; building every member as a
+    # SparsePoly instead peaks at 5.5 MiB on this call
+    family = RepProductFamily(integer_scheme(HahnField()))
+    tracemalloc.start()
+    try:
+        report = verify_claim2(family, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,15 @@ def test_operator_text_errors_carry_line_numbers():
     bad_poly = "dim: 1\nbackend: p=2\n1 : (1/1@3) * x1^1\n"
     with pytest.raises(ValueError, match="line 3"):
         operator_from_text(bad_poly)
+    # headers, and checks that only the assembled operator could make before
+    for text, line in [("dim: x\nbackend: p=2\n", 1),
+                       ("backend: p=2\ndim: 0\n", 2),
+                       ("backend: p=4\n", 1),
+                       ("dim: 1\nbackend: p=2\norder: 1\n2 : (1/1@2) * x1^0\n", 4),
+                       ("dim: 1\nbackend: p=2\n-1 : (1/1@2) * x1^0\n", 3),
+                       ("dim: 1\n\n1 : (1/1@2) * x1^0\n", 3)]:
+        with pytest.raises(ValueError, match=f"^line {line}:"):
+            operator_from_text(text)
 
 
 def test_operator_text_backend_mismatch():

@@ -32,6 +32,9 @@ def test_no_assert_statements(name):
     ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "3",
      "--radius-valuation", "2", "--alpha-max", "6"],
     ["suite", "--seed", "123"],
+    ["counterexample", "claim2", "--backend", "hahn", "--alpha-max", "8"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1",
+     "--radius-valuation", "1/2", "--alpha-max", "6"],
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv):
     env = dict(os.environ)
