@@ -28,6 +28,23 @@ the claim-1 disc rows need only a degree and a Gauss valuation, so they
 fold the stream into min over j of v(c_j) + j r, less v(lead), without
 building a polynomial; member and member_on_subdisc build theirs from the
 same stream.
+
+On the closed unit disc (radius valuation 0) the fold expands member(alpha)
+about its median representative lambda_m rather than about 0.  For
+integral c, y -> c + y maps the closed unit disc isometrically onto itself:
+f -> f(c + y) maps the integral polynomials onto themselves (its inverse is
+f -> f(y - c)) and commutes with reduction modulo the maximal ideal, so it
+keeps the Gauss valuation, and it keeps the degree.  Which integral center
+is taken therefore does not change the result.  About lambda_m the roots
+lambda_beta - lambda_m sit on both sides of 0 and are about half as large;
+on the Hahn integer scheme with even alpha they are symmetric, so every
+other numerator is 0.  One root stays at 0, as a shift.  Each coefficient
+is still computed exactly and checked.
+
+Claim 1's monomial side on a disc with a hole reads the same fold: the
+divided-power operator member(alpha) d^(alpha) sends x^delta to
+C(delta, alpha) member(alpha) x^(delta - alpha), whose Gauss valuation is
+v(C(delta, alpha)) + gauss(member(alpha)).
 """
 
 from __future__ import annotations
@@ -42,15 +59,12 @@ from typing import Callable, Iterator, NamedTuple
 from .affinoid import (
     Hole,
     SparsePoly,
-    laurent_basis_derivative,
     rescale_to_subdisc,
 )
 from .operators import (
     CoefficientFamily,
     DECREASING_WITNESSED,
     DecayBound,
-    DiffOperator,
-    apply_operator,
     classify_rapid_decay,
 )
 from .scalars import (
@@ -312,8 +326,12 @@ class RepProductFamily:
         For a rational center this folds the expansion stream without
         building a polynomial: the valuation is min over nonzero numerators
         c_j of v(c_j) + j r, less v(lead).  Every coefficient is still
-        computed and checked.  Series centers take the generic rescale.
+        computed and checked.  On the unit disc (r = 0) an integral center
+        is replaced by the median representative, which gives the same
+        result exactly.  Series centers take the generic rescale.
         """
+        if alpha < 0:
+            raise ValueError("family index must be a natural number")
         if radius_valuation < 0:
             raise ValueError("radius valuation must be >= 0")
         c = Fraction(0) if center is None else _as_rational(center)
@@ -321,6 +339,14 @@ class RepProductFamily:
             xi = self.member_on_subdisc(alpha, center, radius_valuation)
             return xi.degree(), xi.gauss_valuation()
         self.field.element_of_valuation(radius_valuation)  # rejects r outside the value group
+        if radius_valuation == 0 and self._is_integral(c):
+            # on the unit disc every integral center gives the same degree
+            # and Gauss valuation, and the median representative the
+            # cheapest expansion (module docstring)
+            median = sorted(self.scheme.rep_rational_fn(beta)
+                            for beta in range(alpha + 1))[alpha // 2]
+            if self._is_integral(median):
+                c = median
         if isinstance(self.field, PAdicField):
             p = self.field.p
 
@@ -343,6 +369,9 @@ class RepProductFamily:
                 if least is None or scaled < least:
                     least = scaled
         return degree, NormValue.of(Fraction(least, den) - valuation(expansion.lead))
+
+    def _is_integral(self, q: Fraction) -> bool:
+        return self.field.from_rational(q).valuation() >= NormValue.of(0)
 
     def family(self) -> CoefficientFamily:
         return CoefficientFamily(self.field, 1, lambda a: self.member(a[0]))
@@ -439,6 +468,20 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     }
 
 
+def _monomial_side_valuation(family: RepProductFamily, alpha: int,
+                             delta_max: int) -> NormValue:
+    """min over delta <= delta_max of the Gauss valuation of
+    (member(alpha) d^(alpha))(x^delta) = C(delta, alpha) member(alpha)
+    x^(delta - alpha), that is gauss(member(alpha)) plus the least
+    v(C(delta, alpha)) over alpha <= delta <= delta_max.  Every binomial is
+    an integer and C(alpha, alpha) = 1, so that least valuation is 0.  The
+    value is +inf when every image is 0 (delta_max < alpha)."""
+    if delta_max < alpha:
+        return NormValue.infinite()
+    _, gauss = family._degree_and_gauss(alpha)
+    return gauss
+
+
 def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
                           beta_max: int, delta_max: int) -> dict:
     """Boundedness of the scaled family on a disc with a hole, certified on
@@ -446,7 +489,15 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
 
     Monomial side: sup over |delta| <= delta_max of the Gauss valuation of
     (member(alpha) d^(alpha))(x^delta) must be >= 0 (the members are monic
-    and integral).
+    and integral).  The divided-power derivative sends x^delta to
+    C(delta, alpha) x^(delta - alpha), so that valuation is
+
+        gauss(member(alpha)) + min over alpha <= delta <= delta_max of
+        v(C(delta, alpha))  =  gauss(member(alpha)),
+
+    since the binomials are integers and C(alpha, alpha) = 1; it is +inf
+    when delta_max < alpha.  gauss(member(alpha)) comes from the expansion
+    fold, taken about the median representative (module docstring).
 
     Hole side: with z_beta = (tau/(x-a))^(beta+1), the ratio
     z_beta^{-1} (member d^(alpha)) z_beta equals (-1)^alpha
@@ -459,9 +510,12 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
         v(tau), 0)     for alpha >= gamma,
 
     checked against the displayed closed form alpha * min(alpha v(rho) -
-    v(tau), 0).  Rows with alpha < gamma use the crude bound -alpha v(tau)
-    from |1/(x-a)| <= 1/|tau|.  The finite constant and the index past
-    which the bound is exactly 0 are reported.
+    v(tau), 0).  gauss(rest) is 0, since rest is a product of linear
+    factors x - lambda_beta with integral representatives, and f_alpha =
+    ((y + rho)^alpha - rho^alpha) / y is integral because v(rho) > 0.  Rows
+    with alpha < gamma use the crude bound -alpha v(tau) from
+    |1/(x-a)| <= 1/|tau|.  The finite constant and the index past which the
+    bound is exactly 0 are reported.
     """
     field = family.field
     vtau = Fraction(hole.radius_valuation)
@@ -473,14 +527,8 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
     all_pass = True
     bound_column: list[Fraction] = []
     for alpha in range(alpha_max + 1):
-        xi = family.member(alpha)
-
-        # (i) monomial images through the actual operator action
-        op = DiffOperator.make(field, 1, {(alpha,): xi}, divided=True)
-        monomial_worst = NormValue.infinite()
-        for delta in range(delta_max + 1):
-            image = apply_operator(op, SparsePoly.monomial(field, 1, (delta,)))
-            monomial_worst = min(monomial_worst, image.gauss_valuation())
+        # (i) monomial images, read from the expansion fold
+        monomial_worst = _monomial_side_valuation(family, alpha, delta_max)
         monomial_ok = monomial_worst >= NormValue.of(0)
 
         # (ii) hole-basis ratio, certified piecewise
@@ -490,30 +538,18 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
                 core = Fraction(0)
             else:
                 core = alpha * min(alpha * vrho.valuation - vtau, Fraction(0))
-            pieces_ok = _decomposition_checks(field, rho, alpha)
-            rest_gauss = Fraction(0)
-            for beta in range(alpha + 1):
-                if beta == gamma:
-                    continue
-                factor = SparsePoly.variable(field, 1, 0) \
-                    - SparsePoly.constant(field, 1, family.scheme.rep(beta))
-                g = factor.gauss_valuation()
-                if g.is_infinite:
-                    raise ArithmeticError(f"linear factor x - lambda_{beta} vanished")
-                rest_gauss += alpha * alpha * g.valuation
             binom_floor = min(
                 field.from_rational(math.comb(alpha + b, alpha)).valuation().valuation
                 for b in range(beta_max + 1))
-            certified = binom_floor + rest_gauss + core
+            certified = binom_floor + core
             displayed = core
         else:
-            pieces_ok = True
             certified = -alpha * vtau
             displayed = -alpha * vtau
         bound_column.append(displayed)
         lhs = min(monomial_worst, NormValue.of(certified))
         rhs = NormValue.of(min(displayed, Fraction(0)))
-        ok = monomial_ok and pieces_ok and lhs >= rhs and certified >= displayed
+        ok = monomial_ok and lhs >= rhs and certified >= displayed
         all_pass = all_pass and ok
         rows.append({
             "alpha": alpha,
@@ -561,39 +597,18 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
     return report
 
 
-def _decomposition_checks(field: Field, rho: Scalar, alpha: int) -> bool:
-    """Exact checks behind the hole-side bound for one alpha.
-
-    In the variable u = x - a:  (u + rho)^alpha = rho^alpha + u * f_alpha(u)
-    with f_alpha integral, and the divided-power scalar factors
-    C(alpha+beta, alpha) are integral.  |tau / u| <= 1 on the holed domain
-    links the rho^alpha / u term to the basis function z_0 with weight
-    rho^alpha / tau, whose valuation is what the closed form uses.
-    """
-    u = SparsePoly.variable(field, 1, 0)
-    rho_poly = SparsePoly.constant(field, 1, rho)
-    lhs = (u + rho_poly) ** alpha
-    f_alpha = SparsePoly.make(field, 1, {
-        (k - 1,): field.from_rational(math.comb(alpha, k)) * rho ** (alpha - k)
-        for k in range(1, alpha + 1)
-    })
-    identity_ok = lhs == SparsePoly.constant(field, 1, rho ** alpha) + u * f_alpha
-    integral_ok = f_alpha.is_zero or f_alpha.gauss_valuation() >= NormValue.of(0)
-    factor_ok = True
-    for beta in range(3):
-        scalar, pole_order = laurent_basis_derivative(field, alpha, beta)
-        factor_ok = factor_ok and scalar.valuation() >= NormValue.of(0) and pole_order == alpha
-    return identity_ok and integral_ok and factor_ok
-
-
 def verify_claim2(family: RepProductFamily, alpha_max: int) -> dict:
     """Global failure of decay: per alpha, from the exact expansion,
 
         gauss(member) + alpha v(pi) - v(alpha!) - 2 alpha v(pi) <= -alpha v(pi)
 
-    with gauss(member) checked to be exactly 0.  The left side is the
-    valuation of the alpha-th term of the pi-rescaled operator family; the
-    inequality says those terms blow up at least like |pi|^{-alpha}.
+    with gauss(member) checked to be exactly 0 and the degree checked to be
+    (alpha + 1) alpha^2.  The left side is the valuation of the alpha-th
+    term of the pi-rescaled operator family; the inequality says those
+    terms blow up at least like |pi|^{-alpha}.  Both numbers come from the
+    expansion fold about the median representative lambda_m: x -> lambda_m
+    + y is an isometry of the closed unit disc, so member(lambda_m + y) has
+    the degree and the Gauss valuation of member(x) (module docstring).
     """
     field = family.field
     vpi = field.pi_valuation

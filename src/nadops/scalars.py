@@ -95,14 +95,38 @@ def format_valuation(value: "NormValue | Rational") -> str:
     return str(Fraction(value))
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality exactly
+# for every n below _PRIME_TEST_BOUND (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above the bound
+    where the fixed bases are proven to decide."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"p = {n} is too large: primality is decided only below "
+                         f"{_PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -74,6 +74,7 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
      "--domain", '{"type":"polydisc","center":["0/1@2"],"radii":["1/0"]}'],
     ["norms", "--operator", SAMPLE_PATH, "--domain", '{"type":"polydisc","radii":["1"]}'],
     ["norms", "--operator", SAMPLE_PATH, "--domain", "[1]"],
+    ["counterexample", "claim2", "--backend", "p=3317044064679887385961981"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, sample_op):
     argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]
@@ -83,6 +84,16 @@ def test_bad_input_exits_two_without_traceback(argv, sample_op):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr and proc.stdout == ""
+
+
+def test_large_prime_backend_runs():
+    # 2^61 - 1: trial division up to its square root would run for minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", "counterexample", "claim2",
+                           "--backend", "p=2305843009213693951", "--alpha-max", "3"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["backend"] == "p=2305843009213693951"
 
 
 def test_report_without_checks_is_not_a_pass(capsys, tmp_path):

@@ -1,14 +1,17 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nadops import counterexample
 from nadops.affinoid import Hole, SparsePoly, rescale_to_subdisc
 from nadops.counterexample import (
     CosetRepScheme,
     RepProductFamily,
+    _Expansion,
     _linear_power_product,
     cycling_scheme,
     default_scheme,
@@ -18,7 +21,7 @@ from nadops.counterexample import (
     verify_claim1_laurent,
     verify_claim2,
 )
-from nadops.operators import DECREASING_WITNESSED
+from nadops.operators import DECREASING_WITNESSED, DiffOperator, apply_operator
 from nadops.scalars import HahnField, NormValue, PAdicField
 
 P2 = PAdicField(2)
@@ -299,11 +302,36 @@ def disc_cases(draw):
     return scheme, alpha, center, radius
 
 
-@given(st.sampled_from(SCHEMES), st.integers(0, 5))
+@settings(deadline=None)
+@given(st.sampled_from(SCHEMES), st.integers(0, 8))
 def test_fold_matches_member(scheme, alpha):
+    # the fold reads the unit disc about the median representative; member
+    # is the expansion about 0
     fam = RepProductFamily(scheme)
     xi = fam.member(alpha)
     assert fam._degree_and_gauss(alpha) == (xi.degree(), xi.gauss_valuation())
+
+
+def test_claim2_fold_about_the_median_streams_fewer_numerators():
+    # about lambda_m = 8, Hahn member(16) is y^256 prod_k (y^2 - k^2)^256,
+    # an even polynomial: 2,049 of its 4,097 streamed numerators are
+    # nonzero, against all 4,097 about 0
+    nonzero = []
+
+    def counting(roots):
+        expansion = _linear_power_product(roots)
+
+        def numerators():
+            for value in expansion.numerators:
+                nonzero.append(value != 0)
+                yield value
+        return _Expansion(expansion.shift, expansion.lead, numerators())
+
+    fam = RepProductFamily(integer_scheme(HAHN))
+    with mock.patch.object(counterexample, "_linear_power_product", counting):
+        degree, gauss = fam._degree_and_gauss(16)
+    assert (degree, gauss) == (fam.member_expected_degree(16), NormValue.of(0))
+    assert sum(nonzero) <= 2100, f"{sum(nonzero)} nonzero numerators of {len(nonzero)}"
 
 
 @settings(deadline=None)
@@ -312,6 +340,11 @@ def test_fold_matches_member(scheme, alpha):
 @example((SCHEMES[0], 2, Fraction(1, 2), Fraction(1)))
 @example((SCHEMES[1], 2, Fraction(-4, 3), Fraction(2)))
 @example((SCHEMES[4], 3, Fraction(1, 2), Fraction(3, 2)))
+# the unit disc about an integral center off the median, and about a
+# center that is not integral, which the fold must not move
+@example((SCHEMES[1], 4, Fraction(7), Fraction(0)))
+@example((SCHEMES[0], 3, Fraction(1, 2), Fraction(0)))
+@example((SCHEMES[4], 4, Fraction(-5, 3), Fraction(0)))
 def test_fold_matches_member_on_subdisc(case):
     scheme, alpha, c, r = case
     fam = RepProductFamily(scheme)
@@ -440,6 +473,51 @@ def test_claim1_laurent_monomial_side_is_integral():
     assert rep["pass"]
     for row in rep["rows"]:
         assert row["valuation_lhs"] != "inf"
+
+
+def apply_operator_monomial_side(family: RepProductFamily, alpha: int,
+                                 delta_max: int) -> NormValue:
+    """The monomial side as first written: apply member(alpha) d^(alpha) to
+    each x^delta; the fold in verify_claim1_laurent must agree."""
+    field = family.field
+    op = DiffOperator.make(field, 1, {(alpha,): family.member(alpha)}, divided=True)
+    worst = NormValue.infinite()
+    for delta in range(delta_max + 1):
+        image = apply_operator(op, SparsePoly.monomial(field, 1, (delta,)))
+        worst = min(worst, image.gauss_valuation())
+    return worst
+
+
+@st.composite
+def laurent_cases(draw):
+    """A scheme, a hole with an integral center, and the three caps."""
+    scheme = draw(st.sampled_from(SCHEMES[:4]))
+    if isinstance(scheme.field, PAdicField):
+        radius = Fraction(draw(st.integers(1, 3)))
+    else:
+        radius = draw(st.builds(Fraction, st.integers(1, 7), st.integers(1, 3)))
+    center = scheme.field.from_rational(draw(st.integers(-3, 9)))
+    alpha_max = draw(st.integers(0, 10))
+    beta_max = draw(st.integers(0, 4))
+    delta_max = draw(st.integers(0, 25))
+    return scheme, Hole(center, radius), alpha_max, beta_max, delta_max
+
+
+@settings(deadline=None, max_examples=20)
+@given(laurent_cases())
+@example((SCHEMES[0], Hole(P2.from_rational(3), Fraction(2)), 10, 2, 4))
+@example((SCHEMES[3], Hole(HAHN.from_rational(2), Fraction(3, 2)), 7, 3, 25))
+def test_laurent_monomial_fold_matches_apply_operator(case):
+    scheme, hole, alpha_max, beta_max, delta_max = case
+    family = RepProductFamily(scheme)
+    oracle = {alpha: apply_operator_monomial_side(family, alpha, delta_max)
+              for alpha in range(alpha_max + 1)}
+    assert {alpha: counterexample._monomial_side_valuation(family, alpha, delta_max)
+            for alpha in oracle} == oracle
+    report = verify_claim1_laurent(family, hole, alpha_max, beta_max, delta_max)
+    with mock.patch.object(counterexample, "_monomial_side_valuation",
+                           lambda _family, alpha, _delta_max: oracle[alpha]):
+        assert verify_claim1_laurent(family, hole, alpha_max, beta_max, delta_max) == report
 
 
 def test_claim1_laurent_tail_decay_flag():

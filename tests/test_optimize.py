@@ -35,6 +35,10 @@ def test_no_assert_statements(name):
     ["counterexample", "claim2", "--backend", "hahn", "--alpha-max", "8"],
     ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1",
      "--radius-valuation", "1/2", "--alpha-max", "6"],
+    ["counterexample", "claim1", "--backend", "p=2", "--mode", "laurent", "--hole-center", "3",
+     "--hole-radius-valuation", "2", "--alpha-max", "6", "--beta-max", "6", "--delta-max", "12"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "laurent", "--hole-center", "0",
+     "--hole-radius-valuation", "1", "--alpha-max", "6", "--beta-max", "6", "--delta-max", "12"],
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv):
     env = dict(os.environ)

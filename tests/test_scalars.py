@@ -10,6 +10,7 @@ from nadops.scalars import (
     PAdicField,
     Scalar,
     _int_valuation,
+    _is_prime,
     _normalize_hahn,
     backend_from_name,
     format_valuation,
@@ -128,6 +129,33 @@ def test_padic_field_rejects_composite_prime():
         PAdicField(4)
     with pytest.raises(ValueError):
         PAdicField(1)
+
+
+# the trial division that _is_prime replaced, kept as its oracle
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_is_prime_large_inputs():
+    assert _is_prime(2**61 - 1)
+    # strong pseudoprimes to the bases 2..23 and 2..37; the later bases catch them
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        PAdicField(2**89 - 1)
 
 
 def test_padic_element_of_valuation_rejects_fractions():
