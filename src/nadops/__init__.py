@@ -3,7 +3,6 @@ non-Archimedean polydiscs: valuations, sup norms, symbol extraction, and
 mechanically checked boundedness and divergence estimates."""
 
 from .scalars import (
-    DEFAULT_DIVISION_CUTOFF,
     Field,
     HahnDivisionError,
     HahnField,
@@ -22,7 +21,6 @@ from .affinoid import (
     SparsePoly,
     domain_from_json,
     domain_to_json,
-    laurent_basis_derivative,
     mi_box,
     mi_up_to_total,
     mi_with_total,

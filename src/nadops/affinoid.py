@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ def mi_le(a: MultiIndex, b: MultiIndex) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     out = tuple(x - y for x, y in zip(a, b))
@@ -107,20 +108,17 @@ class SparsePoly:
     def make(cls, field: Field, dim: int,
              items: Mapping[MultiIndex, Scalar] | Iterable[tuple[MultiIndex, Scalar]]) -> "SparsePoly":
         pairs = items.items() if isinstance(items, Mapping) else items
-        acc: dict[MultiIndex, Scalar] = {}
-        for exponent, coeff in pairs:
-            exponent = tuple(exponent)
-            if len(exponent) != dim or any(e < 0 for e in exponent):
-                raise ValueError(f"bad exponent {exponent} for dimension {dim}")
-            if coeff.field != field:
-                raise ValueError("coefficient from a different backend")
-            total = acc.get(exponent)
-            coeff = coeff if total is None else total + coeff
-            if coeff.is_zero:
-                acc.pop(exponent, None)
-            else:
-                acc[exponent] = coeff
-        return cls(field, dim, acc)
+
+        def checked() -> Iterator[tuple[MultiIndex, Scalar]]:
+            for exponent, coeff in pairs:
+                exponent = tuple(exponent)
+                if len(exponent) != dim or any(e < 0 for e in exponent):
+                    raise ValueError(f"bad exponent {exponent} for dimension {dim}")
+                if coeff.field != field:
+                    raise ValueError("coefficient from a different backend")
+                yield exponent, coeff
+
+        return _combine(field, dim, [(checked(), None, None)])
 
     @classmethod
     def zero(cls, field: Field, dim: int) -> "SparsePoly":
@@ -170,15 +168,8 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        acc = dict(self.coeffs)
-        for exponent, coeff in other.coeffs.items():
-            total = acc.get(exponent)
-            coeff = coeff if total is None else total + coeff
-            if coeff.is_zero:
-                acc.pop(exponent, None)
-            else:
-                acc[exponent] = coeff
-        return SparsePoly(self.field, self.dim, acc)
+        return _combine(self.field, self.dim,
+                        [(self.coeffs.items(), None, None), (other.coeffs.items(), None, None)])
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.field, self.dim, {e: -c for e, c in self.coeffs.items()})
@@ -188,25 +179,14 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        acc: dict[MultiIndex, Scalar] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                key = mi_add(ea, eb)
-                term = ca * cb
-                total = acc.get(key)
-                term = term if total is None else total + term
-                if term.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = term
-        return SparsePoly(self.field, self.dim, acc)
+        terms = self.coeffs.items()
+        return _combine(self.field, self.dim,
+                        [(terms, coeff, exponent) for exponent, coeff in other.coeffs.items()])
 
     def scale(self, value: Scalar | Rational) -> "SparsePoly":
         if not isinstance(value, Scalar):
             value = self.field.from_rational(value)
-        if value.is_zero:
-            return SparsePoly.zero(self.field, self.dim)
-        return SparsePoly(self.field, self.dim, {e: c * value for e, c in self.coeffs.items()})
+        return _combine(self.field, self.dim, [(self.coeffs.items(), value, None)])
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
@@ -233,16 +213,6 @@ class SparsePoly:
                 continue
             acc[mi_sub(exponent, order)] = coeff.scaled(k)
         return SparsePoly(self.field, self.dim, acc)
-
-    def evaluate(self, point: tuple[Scalar, ...]) -> Scalar:
-        total = self.field.zero()
-        for exponent, coeff in self.coeffs.items():
-            term = coeff
-            for x, e in zip(point, exponent):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
 
     # -- norms ---------------------------------------------------------------
 
@@ -274,45 +244,53 @@ class SparsePoly:
     def _substitute_one(self, i: int, c: Scalar, s: Scalar) -> "SparsePoly":
         if self.is_zero:
             return self
-        # regroup as a polynomial in variable i with SparsePoly coefficients
-        layers: dict[int, dict[MultiIndex, Scalar]] = {}
+        # regroup as a polynomial in variable i with coefficients free of it
+        layers: dict[int, list[tuple[MultiIndex, Scalar]]] = {}
         for exponent, coeff in self.coeffs.items():
-            k = exponent[i]
             flat = exponent[:i] + (0,) + exponent[i + 1:]
-            layers.setdefault(k, {})[flat] = coeff
-        top = max(layers)
-        acc: dict[MultiIndex, Scalar] = {}
-        for k in range(top, -1, -1):
-            if acc:
-                shifted: dict[MultiIndex, Scalar] = {}
-                for exponent, coeff in acc.items():
-                    if not c.is_zero:
-                        low = coeff * c
-                        if not low.is_zero:
-                            prev = shifted.get(exponent)
-                            low = low if prev is None else prev + low
-                            if low.is_zero:
-                                shifted.pop(exponent, None)
-                            else:
-                                shifted[exponent] = low
-                    high = coeff * s
-                    if not high.is_zero:
-                        key = exponent[:i] + (exponent[i] + 1,) + exponent[i + 1:]
-                        prev = shifted.get(key)
-                        high = high if prev is None else prev + high
-                        if not high.is_zero:
-                            shifted[key] = high
-                acc = shifted
-            layer = layers.get(k)
-            if layer:
-                for exponent, coeff in layer.items():
-                    prev = acc.get(exponent)
-                    coeff = coeff if prev is None else prev + coeff
-                    if coeff.is_zero:
-                        acc.pop(exponent, None)
-                    else:
-                        acc[exponent] = coeff
-        return SparsePoly(self.field, self.dim, acc)
+            layers.setdefault(exponent[i], []).append((flat, coeff))
+        unit = tuple(int(j == i) for j in range(self.dim))
+        acc = SparsePoly.zero(self.field, self.dim)
+        for k in range(max(layers), -1, -1):
+            # Horner step: acc * (c + s y_i) + layer k
+            terms = acc.coeffs.items()
+            parts = [(terms, s, unit), (layers.get(k, ()), None, None)]
+            if not c.is_zero:
+                parts.append((terms, c, None))
+            acc = _combine(self.field, self.dim, parts)
+        return acc
+
+
+_Part = tuple[Iterable[tuple[MultiIndex, Scalar]], Scalar | None, MultiIndex | None]
+
+
+def _combine(field: Field, dim: int, parts: Iterable[_Part]) -> SparsePoly:
+    """The polynomial sum of scalar * x^shift * terms over (terms, scalar, shift) parts.
+
+    ``terms`` is any iterable of (exponent, coefficient) pairs over ``field``,
+    such as ``poly.coeffs.items()``; a None scalar stands for 1 and a None
+    shift for 0.  Every coefficient is summed into one dict of payloads, and
+    zeros are dropped once at the end, so a cancellation anywhere in the sum
+    leaves no key behind.
+    """
+    add, mul = field.add, field.mul
+    acc: dict = {}
+    get = acc.get
+    for terms, scalar, shift in parts:
+        factor = None
+        if scalar is not None:
+            if scalar.field is not field and scalar.field != field:
+                raise ValueError(f"mixed-backend arithmetic: {field.name} vs {scalar.field.name}")
+            factor = scalar.payload
+        for exponent, coeff in terms:
+            value = coeff.payload if factor is None else mul(coeff.payload, factor)
+            if shift is not None:
+                exponent = mi_add(exponent, shift)
+            prev = get(exponent)
+            acc[exponent] = value if prev is None else add(prev, value)
+    is_zero = field.is_zero
+    return SparsePoly(field, dim, {exponent: Scalar(field, value)
+                                   for exponent, value in acc.items() if not is_zero(value)})
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +412,6 @@ def sup_norm(f: SparsePoly, domain: Domain) -> NormValue:
     return rescale_to_subdisc(f, domain.center, domain.radius_valuations).gauss_valuation()
 
 
-def laurent_basis_derivative(field: Field, alpha: int, beta: int) -> tuple[Scalar, int]:
-    """Divided-power derivative of a hole basis function, in closed form.
-
-    With z = (tau/(x-a))^(beta+1), the quotient (d/dx)^(alpha) z / z equals
-    (-1)^alpha * C(alpha+beta, alpha) * (x-a)^(-alpha) whatever the hole
-    (a, tau).  Returns that scalar factor over ``field`` and the pole order
-    alpha.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("orders must be natural numbers")
-    factor = field.from_rational((-1) ** alpha * math.comb(alpha + beta, alpha))
-    return factor, alpha
-
-
 # ---------------------------------------------------------------------------
 # text format: sorted "(<scalar>) * x1^e1 ... xd^ed" terms
 
@@ -538,16 +502,28 @@ def domain_to_json(domain: Domain) -> dict:
 _RATIONAL_TEXT = re.compile(r"-?\d+(?:/\d+)?")
 
 
+def _parse_rational(text: str) -> Fraction | None:
+    """The rational that text such as '2' or '-3/2' names, or None.
+
+    Only this grammar reaches Fraction, which also reads exponent text:
+    Fraction('1e10000000') alone takes seconds, and larger exponents longer.
+    """
+    if _RATIONAL_TEXT.fullmatch(text.strip()):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    return None
+
+
 def _json_rational(value: object, what: str) -> Fraction:
     """A rational given as a JSON integer or as text such as '2' or '-3/2'."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value.strip()):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            pass
-    raise ValueError(f"{what} must be a rational such as 2 or -3/2, got {value!r}")
+    q = _parse_rational(value) if isinstance(value, str) else None
+    if q is None:
+        raise ValueError(f"{what} must be a rational such as 2 or -3/2, got {value!r}")
+    return q
 
 
 def _json_scalar(value: object, field: Field) -> Scalar:

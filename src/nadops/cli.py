@@ -23,6 +23,7 @@ from .affinoid import (
     Hole,
     Polydisc,
     SparsePoly,
+    _parse_rational,
     domain_from_json,
     poly_to_text,
     sup_norm,
@@ -66,10 +67,8 @@ def _load_operator(path: str, field: Field) -> DiffOperator:
 
 def _scalar_arg(text: str, field: Field) -> Scalar:
     """Accept a plain rational like 3 or -1/2, or the full scalar syntax."""
-    try:
-        return field.from_rational(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        return parse_scalar(text, field)
+    q = _parse_rational(text)
+    return parse_scalar(text, field) if q is None else field.from_rational(q)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +332,11 @@ def _natural(minimum: int):
 
 def _rational(text: str) -> Fraction:
     """argparse type: a rational number such as 2, -3 or 3/2."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
+    q = _parse_rational(text)
+    if q is None:
+        raise argparse.ArgumentTypeError(f"expected a rational number such as 2, -3 or 3/2, "
+                                          f"got {text!r}")
+    return q
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -79,14 +79,8 @@ from .scalars import (
 
 
 def _as_rational(x: Scalar) -> Fraction | None:
-    """The payload as a plain rational constant, or None for a real series."""
-    if isinstance(x.payload, Fraction):
-        return x.payload
-    if not x.payload:
-        return Fraction(0)
-    if len(x.payload) == 1 and x.payload[0][0] == 0:
-        return x.payload[0][1]
-    return None
+    """The scalar as a plain rational constant, or None for a real series."""
+    return x.field.as_rational(x.payload)
 
 
 # ---------------------------------------------------------------------------

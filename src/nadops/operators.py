@@ -31,6 +31,7 @@ from .affinoid import (
     Polydisc,
     SparsePoly,
     HoledDisc,
+    _combine,
     mi_add,
     mi_binomial,
     mi_box,
@@ -130,12 +131,12 @@ def apply_operator(P: DiffOperator, f: SparsePoly) -> SparsePoly:
     """P(f), exactly.  d^alpha x^beta = (beta! / (beta-alpha)!) x^(beta-alpha)."""
     if f.field != P.field or f.dim != P.dim:
         raise ValueError("operator and argument use different backends or dimensions")
-    out = SparsePoly.zero(P.field, P.dim)
+    parts = []
     for alpha, a in P.coeffs.items():
+        terms = a.coeffs.items()
         image = f.derivative(alpha, divided=P.divided)
-        if not image.is_zero:
-            out = out + a * image
-    return out
+        parts += [(terms, coeff, exponent) for exponent, coeff in image.coeffs.items()]
+    return _combine(P.field, P.dim, parts)
 
 
 def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
@@ -148,27 +149,23 @@ def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
     """
     if P.field != Q.field or P.dim != Q.dim:
         raise ValueError("cannot compose operators over different backends or dimensions")
-    acc: dict[MultiIndex, SparsePoly] = {}
+    field = P.field
+    divided = P.divided and Q.divided
+    parts: dict[MultiIndex, list] = {}
     Pp, Qp = P.to_plain(), Q.to_plain()
     for alpha, a in Pp.coeffs.items():
+        terms = a.coeffs.items()
         for beta, b in Qp.coeffs.items():
             for gamma in mi_box(alpha):
-                db = b.derivative(gamma)
-                if db.is_zero:
-                    continue
                 index = mi_add(mi_sub(alpha, gamma), beta)
-                term = (a * db).scale(mi_binomial(alpha, gamma))
-                prev = acc.get(index)
-                term = term if prev is None else prev + term
-                if term.is_zero:
-                    acc.pop(index, None)
-                else:
-                    acc[index] = term
-    order = P.order + Q.order
-    divided = P.divided and Q.divided
-    if divided:
-        acc = {a: poly.scale(mi_factorial(a)) for a, poly in acc.items()}
-    return DiffOperator.make(P.field, P.dim, acc, order, divided)
+                # a divided-power result stores alpha! times the plain coefficient
+                weight = field.from_rational(
+                    mi_binomial(alpha, gamma) * (mi_factorial(index) if divided else 1))
+                parts.setdefault(index, []).extend(
+                    (terms, coeff * weight, exponent)
+                    for exponent, coeff in b.derivative(gamma).coeffs.items())
+    acc = {index: _combine(field, P.dim, index_parts) for index, index_parts in parts.items()}
+    return DiffOperator.make(field, P.dim, acc, P.order + Q.order, divided)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +206,8 @@ class EndoOracle:
 
     def apply_poly(self, f: SparsePoly) -> SparsePoly:
         """Extend the monomial table by linearity."""
-        out = SparsePoly.zero(self.field, self.dim)
-        for exponent, coeff in f.coeffs.items():
-            out = out + self.query(exponent).scale(coeff)
-        return out
+        return _combine(self.field, self.dim, [(self.query(exponent).coeffs.items(), coeff, None)
+                                                for exponent, coeff in f.coeffs.items()])
 
 
 def symbol_coefficient(oracle: EndoOracle, alpha: MultiIndex) -> SparsePoly:
@@ -225,12 +220,12 @@ def symbol_coefficient(oracle: EndoOracle, alpha: MultiIndex) -> SparsePoly:
     alpha = tuple(alpha)
     if mi_total(alpha) > oracle.degree_cap:
         raise ValueError(f"symbol index {alpha} exceeds the oracle degree cap")
-    acc = SparsePoly.zero(oracle.field, oracle.dim)
+    parts = []
     for beta in mi_box(alpha):
         gap = mi_sub(alpha, beta)
-        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
-        acc = acc + oracle.query(beta) * SparsePoly.monomial(oracle.field, oracle.dim, gap, weight)
-    return acc.scale(Fraction(1, mi_factorial(alpha)))
+        weight = Fraction(mi_binomial(alpha, beta) * (-1) ** mi_total(gap), mi_factorial(alpha))
+        parts.append((oracle.query(beta).coeffs.items(), oracle.field.from_rational(weight), gap))
+    return _combine(oracle.field, oracle.dim, parts)
 
 
 def total_symbol(oracle: EndoOracle, degree_cap: int) -> SparsePoly:
@@ -240,16 +235,11 @@ def total_symbol(oracle: EndoOracle, degree_cap: int) -> SparsePoly:
     the cotangent (zeta) coordinates.
     """
     d = oracle.dim
-    out = SparsePoly.zero(oracle.field, 2 * d)
+    parts = []
     for alpha in mi_up_to_total(d, degree_cap):
-        coeff = symbol_coefficient(oracle, alpha)
-        if coeff.is_zero:
-            continue
-        lifted = SparsePoly.make(
-            oracle.field, 2 * d,
-            {exponent + alpha: c for exponent, c in coeff.coeffs.items()})
-        out = out + lifted
-    return out
+        coeffs = symbol_coefficient(oracle, alpha).coeffs
+        parts.append(([(exponent + alpha, c) for exponent, c in coeffs.items()], None, None))
+    return _combine(oracle.field, 2 * d, parts)
 
 
 def combinatorial_delta(alpha: MultiIndex, gamma: MultiIndex) -> int:
@@ -317,16 +307,15 @@ def translation_invariance_check(oracle: EndoOracle, center: tuple[Scalar, ...],
         if c.valuation() < NormValue.of(0):
             raise ValueError("translation centers must be integral")
     field, d = oracle.field, oracle.dim
-    lhs = SparsePoly.zero(field, d)
-    rhs = SparsePoly.zero(field, d)
+    lhs_parts, rhs_parts = [], []
     for beta in mi_box(alpha):
         gap = mi_sub(alpha, beta)
-        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
-        lhs = lhs + oracle.query(beta) * SparsePoly.monomial(field, d, gap, weight)
-        shifted = _shifted_monomial_basis(field, d, center, beta)
-        tail = _shifted_monomial_basis(field, d, center, gap).scale(weight)
-        rhs = rhs + oracle.apply_poly(shifted) * tail
-    return lhs == rhs
+        weight = field.from_rational(mi_binomial(alpha, beta) * (-1) ** mi_total(gap))
+        lhs_parts.append((oracle.query(beta).coeffs.items(), weight, gap))
+        image = oracle.apply_poly(_shifted_monomial_basis(field, d, center, beta)).coeffs.items()
+        tail = _shifted_monomial_basis(field, d, center, gap)
+        rhs_parts += [(image, coeff * weight, exponent) for exponent, coeff in tail.coeffs.items()]
+    return _combine(field, d, lhs_parts) == _combine(field, d, rhs_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Exact scalars for two non-Archimedean coefficient fields.
 
-Two backends share one Scalar type:
+A Scalar is a record of a field and a payload.  Each field owns the
+arithmetic on its payloads (add, mul, neg, div, is_zero, valuation,
+to_text), so a Scalar only checks that both operands share a field and
+delegates.  The two fields:
 
   * p-adic rationals: the payload is a Fraction, and the valuation is the
     p-adic valuation v_p(num) - v_p(den).  Arithmetic is plain rational
@@ -8,7 +11,9 @@ Two backends share one Scalar type:
   * Hahn series over the rationals with rational exponents: the payload is a
     finite support map {exponent: coefficient}, stored as a sorted tuple of
     (Fraction, Fraction) pairs with no zero coefficients.  The valuation is
-    the smallest exponent in the support.
+    the smallest exponent in the support.  Sums merge two sorted payloads;
+    division is exact only by a monomial, because the inverse of any other
+    series has infinite support.
 
 Norms are never represented as floats.  A norm is carried as a NormValue,
 which is just the valuation (an exact Fraction, or +infinity for zero);
@@ -17,6 +22,7 @@ comparing norms means comparing valuations in reverse.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +34,10 @@ HahnPayload = tuple[tuple[Fraction, Fraction], ...]
 
 
 class HahnDivisionError(ArithmeticError):
-    """Hahn quotient did not terminate within the exponent cutoff.
+    """A Hahn series was divided by a series that is not a monomial.
 
-    Raised when the divisor is not a monomial times a unit with an exactly
-    computable inverse; the caller must restructure the computation
-    symbolically instead of dividing.
+    The quotient would have infinite support; the caller must restructure
+    the computation symbolically instead of dividing.
     """
 
 
@@ -156,6 +161,7 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 def _normalize_hahn(terms: Iterable[tuple[Rational, Rational]]) -> HahnPayload:
+    """Payload of unsorted (exponent, coefficient) pairs, e.g. parsed text."""
     acc: dict[Fraction, Fraction] = {}
     for exponent, coeff in terms:
         e, c = Fraction(exponent), Fraction(coeff)
@@ -198,11 +204,26 @@ class PAdicField:
         """v(pi) for the uniformizer pi = p."""
         return Fraction(1)
 
-    def _valuation(self, payload: Fraction) -> Fraction | None:
+    # payload arithmetic: payloads are Fractions
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    div = staticmethod(operator.truediv)
+    is_zero = staticmethod(operator.not_)
+
+    def valuation(self, payload: Fraction) -> Fraction | None:
         if payload == 0:
             return None
         return Fraction(_int_valuation(payload.numerator, self.p)
                         - _int_valuation(payload.denominator, self.p))
+
+    def to_text(self, payload: Fraction) -> str:
+        return f"{payload.numerator}/{payload.denominator}@{self.p}"
+
+    @staticmethod
+    def as_rational(payload: Fraction) -> Fraction:
+        """The payload as a plain rational constant; every p-adic scalar is one."""
+        return payload
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """Some scalar of the requested valuation; here, a power of p.
@@ -231,13 +252,6 @@ class PAdicField:
     def factorial_rate(self) -> Fraction:
         """Slope of the factorial valuation bound: v(m!) <= m * rate."""
         return Fraction(1, self.p - 1)
-
-    def residue(self, x: "Scalar") -> int:
-        """The image of an integral scalar in Z/p, as an int in [0, p)."""
-        if x.valuation() < NormValue.of(0):
-            raise ValueError("residue requires valuation >= 0")
-        q: Fraction = x.payload
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
 
 @dataclass(frozen=True)
@@ -274,11 +288,81 @@ class HahnField:
         """v(pi) for the uniformizer pi = t."""
         return Fraction(1)
 
+    # payload arithmetic: payloads are sorted (exponent, coefficient) tuples
+    is_zero = staticmethod(operator.not_)
+
     @staticmethod
-    def _valuation(payload: HahnPayload) -> Fraction | None:
+    def add(a: HahnPayload, b: HahnPayload) -> HahnPayload:
+        """Merge two sorted supports, summing shared exponents and dropping zeros."""
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, ca = a[i]
+            eb, cb = b[j]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return tuple(out)
+
+    @staticmethod
+    def mul(a: HahnPayload, b: HahnPayload) -> HahnPayload:
+        if len(a) != 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts and scales: the result stays sorted and nonzero
+            (e, c), = a
+            return tuple((e + eb, c * cb) for eb, cb in b)
+        acc: dict[Fraction, Fraction] = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb
+                prev = acc.get(e)
+                acc[e] = ca * cb if prev is None else prev + ca * cb
+        return tuple(sorted(term for term in acc.items() if term[1]))
+
+    @staticmethod
+    def neg(a: HahnPayload) -> HahnPayload:
+        return tuple((e, -c) for e, c in a)
+
+    @staticmethod
+    def div(a: HahnPayload, b: HahnPayload) -> HahnPayload:
+        """Exact quotient by a monomial; any other divisor raises HahnDivisionError."""
+        if len(b) != 1:
+            raise HahnDivisionError("a Hahn series divides exactly only by a monomial")
+        (e, c), = b
+        return tuple((ea - e, ca / c) for ea, ca in a)
+
+    @staticmethod
+    def valuation(payload: HahnPayload) -> Fraction | None:
         if not payload:
             return None
         return payload[0][0]  # support is sorted, valuation is the least exponent
+
+    @staticmethod
+    def to_text(payload: HahnPayload) -> str:
+        if not payload:
+            return "0"
+        return " + ".join(f"{c}*t^({e})" for e, c in payload)
+
+    @staticmethod
+    def as_rational(payload: HahnPayload) -> Fraction | None:
+        """The payload as a plain rational constant, or None for a real series."""
+        if not payload:
+            return Fraction(0)
+        if len(payload) == 1 and payload[0][0] == 0:
+            return payload[0][1]
+        return None
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """t^v; the value group is all of Q."""
@@ -292,117 +376,75 @@ class HahnField:
     def factorial_rate(self) -> Fraction:
         return Fraction(0)
 
-    def residue(self, x: "Scalar") -> Fraction:
-        """The constant coefficient of an integral series, in Q."""
-        if x.valuation() < NormValue.of(0):
-            raise ValueError("residue requires valuation >= 0")
-        for exponent, coeff in x.payload:
-            if exponent == 0:
-                return coeff
-        return Fraction(0)
-
 
 Field = Union[PAdicField, HahnField]
 
-# Exact Hahn division is a search; quotients longer than this many terms are
-# rejected unless the caller raises the cutoff explicitly.
-DEFAULT_DIVISION_CUTOFF = 64
 
-
-@dataclass(frozen=True)
 class Scalar:
-    """An exact element of one of the two coefficient fields."""
+    """An exact element of one of the two coefficient fields.
 
-    field: Field
-    payload: Fraction | HahnPayload
+    A record of (field, payload), treated as immutable; every operation
+    returns a new Scalar and delegates the payload arithmetic to the field.
+    """
+
+    __slots__ = ("field", "payload")
+
+    def __init__(self, field: Field, payload: Fraction | HahnPayload) -> None:
+        self.field = field
+        self.payload = payload
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.field == other.field and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.payload))
+
+    def __repr__(self) -> str:
+        return f"Scalar({self.field!r}, {self.payload!r})"
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == 0 if isinstance(self.payload, Fraction) else not self.payload
+        return self.field.is_zero(self.payload)
 
     def valuation(self) -> NormValue:
-        if isinstance(self.payload, Fraction):
-            return NormValue(self.field._valuation(self.payload))
-        return NormValue(HahnField._valuation(self.payload))
+        return NormValue(self.field.valuation(self.payload))
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_same_field(self, other: "Scalar") -> None:
-        if self.field != other.field:
-            raise ValueError(f"mixed-backend arithmetic: {self.field.name} vs {other.field.name}")
+    def _same_field(self, other: "Scalar") -> Field:
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ValueError(f"mixed-backend arithmetic: {field.name} vs {other.field.name}")
+        return field
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check_same_field(other)
-        if isinstance(self.payload, Fraction):
-            return Scalar(self.field, self.payload + other.payload)
-        return Scalar(self.field, _normalize_hahn(list(self.payload) + list(other.payload)))
+        field = self._same_field(other)
+        return Scalar(field, field.add(self.payload, other.payload))
 
     def __neg__(self) -> "Scalar":
-        if isinstance(self.payload, Fraction):
-            return Scalar(self.field, -self.payload)
-        return Scalar(self.field, tuple((e, -c) for e, c in self.payload))
+        return Scalar(self.field, self.field.neg(self.payload))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check_same_field(other)
-        if isinstance(self.payload, Fraction):
-            return Scalar(self.field, self.payload * other.payload)
-        a, b = self.payload, other.payload
-        if len(a) != 1:
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial shifts and scales: the result stays sorted and nonzero
-            (e, c), = a
-            return Scalar(self.field, tuple((e + eb, c * cb) for eb, cb in b))
-        terms = [(ea + eb, ca * cb) for ea, ca in self.payload for eb, cb in other.payload]
-        return Scalar(self.field, _normalize_hahn(terms))
+        field = self._same_field(other)
+        return Scalar(field, field.mul(self.payload, other.payload))
 
     def scaled(self, q: Rational) -> "Scalar":
         """Multiplication by a rational constant."""
         return self * self.field.from_rational(q)
 
-    def div(self, other: "Scalar", exponent_cutoff: Rational = DEFAULT_DIVISION_CUTOFF) -> "Scalar":
-        """Exact division.
-
-        p-adic scalars divide exactly.  A Hahn quotient is computed term by
-        term from the bottom of the support; it is returned only if the
-        remainder reaches zero before the quotient support stretches more
-        than exponent_cutoff past v(self) - v(other), otherwise
-        HahnDivisionError is raised.
-        """
-        self._check_same_field(other)
+    def div(self, other: "Scalar") -> "Scalar":
+        """Exact division; a Hahn divisor must be a monomial (HahnDivisionError)."""
+        field = self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        if isinstance(self.payload, Fraction):
-            return Scalar(self.field, self.payload / other.payload)
-        remainder = dict(self.payload)
-        divisor = other.payload
-        lead_exp, lead_coeff = divisor[0]
-        quotient: list[tuple[Fraction, Fraction]] = []
-        limit = None
-        while remainder:
-            low = min(remainder)
-            exp = low - lead_exp
-            if limit is None:
-                limit = exp + Fraction(exponent_cutoff)
-            elif exp > limit:
-                raise HahnDivisionError(
-                    f"quotient support exceeded the exponent cutoff {Fraction(exponent_cutoff)}"
-                )
-            coeff = remainder[low] / lead_coeff
-            quotient.append((exp, coeff))
-            for d_exp, d_coeff in divisor:
-                key = exp + d_exp
-                value = remainder.get(key, Fraction(0)) - coeff * d_coeff
-                if value == 0:
-                    remainder.pop(key, None)
-                else:
-                    remainder[key] = value
-        return Scalar(self.field, tuple(quotient))
+        return Scalar(field, field.div(self.payload, other.payload))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self.div(other)
@@ -422,11 +464,7 @@ class Scalar:
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
-        if isinstance(self.payload, Fraction):
-            return f"{self.payload.numerator}/{self.payload.denominator}@{self.field.p}"
-        if not self.payload:
-            return "0"
-        return " + ".join(f"{c}*t^({e})" for e, c in self.payload)
+        return self.field.to_text(self.payload)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -12,7 +12,6 @@ from nadops.affinoid import (
     SparsePoly,
     domain_from_json,
     domain_to_json,
-    laurent_basis_derivative,
     mi_binomial,
     mi_box,
     mi_factorial,
@@ -26,11 +25,23 @@ from nadops.affinoid import (
     sup_norm,
     unit_polydisc,
 )
-from nadops.scalars import HahnField, NormValue, PAdicField
+from nadops.scalars import HahnField, NormValue, PAdicField, Scalar
 
 P2 = PAdicField(2)
 P5 = PAdicField(5)
 HAHN = HahnField()
+
+
+def evaluate(f, point):
+    """f at a point of scalars, term by term: the oracle for substitute_affine."""
+    total = f.field.zero()
+    for exponent, coeff in f.coeffs.items():
+        term = coeff
+        for x, e in zip(point, exponent):
+            if e:
+                term = term * x ** e
+        total = total + term
+    return total
 
 
 def small_polys(field, dim=1, degree=3):
@@ -119,7 +130,7 @@ def test_derivative_examples():
 def test_evaluate_horner_example():
     x = SparsePoly.variable(P5, 1, 0)
     f = x ** 2 + x.scale(3) + SparsePoly.constant(P5, 1, 1)
-    assert f.evaluate((P5.from_rational(2),)) == P5.from_rational(11)
+    assert evaluate(f, (P5.from_rational(2),)) == P5.from_rational(11)
 
 
 @given(small_polys(P2, dim=2, degree=2), small_polys(P2, dim=2, degree=2))
@@ -151,8 +162,18 @@ def test_substitute_affine_agrees_with_evaluation(f, c, r, y0):
     scale = (P2.element_of_valuation(r),)
     g = f.substitute_affine(center, scale)
     point = P2.from_rational(y0)
-    direct = f.evaluate((center[0] + scale[0] * point,))
-    assert g.evaluate((point,)) == direct
+    direct = evaluate(f, (center[0] + scale[0] * point,))
+    assert evaluate(g, (point,)) == direct
+
+
+def test_substitute_affine_drops_a_term_that_cancels_late():
+    # x^3 - x^2 - x at x = 1 + y is -1 + 2y^2 + y^3.  The Horner step that
+    # builds the y coefficient adds x1 * s onto x1 * c^2 after them, and the
+    # two cancel; a loop that skipped a zero sum there kept the stale term y.
+    x = SparsePoly.variable(P2, 1, 0)
+    g = (x ** 3 - x ** 2 - x).substitute_affine((P2.one(),), (P2.one(),))
+    assert g == SparsePoly.make(P2, 1, {
+        (0,): P2.from_rational(-1), (2,): P2.from_rational(2), (3,): P2.one()})
 
 
 def test_substitute_affine_multivariate():
@@ -163,6 +184,83 @@ def test_substitute_affine_multivariate():
     # (1 + 2 y1) * 4 y2 = 4 y2 + 8 y1 y2
     assert g == SparsePoly.make(P2, 2, {
         (0, 1): P2.from_rational(4), (1, 1): P2.from_rational(8)})
+
+
+# ---------------------------------------------------------------------------
+# the SparsePoly loops that the one summing kernel replaced, kept as its oracle
+
+
+def old_accumulate(acc, exponent, coeff):
+    total = acc.get(exponent)
+    coeff = coeff if total is None else total + coeff
+    if coeff.is_zero:
+        acc.pop(exponent, None)
+    else:
+        acc[exponent] = coeff
+
+
+def old_make(field, dim, items):
+    acc = {}
+    for exponent, coeff in items:
+        old_accumulate(acc, tuple(exponent), coeff)
+    return SparsePoly(field, dim, acc)
+
+
+def old_add(f, g):
+    acc = dict(f.coeffs)
+    for exponent, coeff in g.coeffs.items():
+        old_accumulate(acc, exponent, coeff)
+    return SparsePoly(f.field, f.dim, acc)
+
+
+def old_mul(f, g):
+    acc = {}
+    for ea, ca in f.coeffs.items():
+        for eb, cb in g.coeffs.items():
+            old_accumulate(acc, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return SparsePoly(f.field, f.dim, acc)
+
+
+def old_scale(f, value):
+    if value.is_zero:
+        return SparsePoly.zero(f.field, f.dim)
+    return SparsePoly(f.field, f.dim, {e: c * value for e, c in f.coeffs.items()})
+
+
+# few distinct exponents and coefficients, so that sums cancel often; Hahn
+# coefficients share exponents, so their supports overlap
+CANCELLING = {
+    P5: [P5.from_rational(q) for q in (1, -1, 2, -2, Fraction(1, 5))],
+    HAHN: [HAHN.from_terms(terms) for terms in (
+        [(0, 1)], [(0, -1)], [(Fraction(1, 2), 1)], [(0, 1), (Fraction(1, 2), -1)],
+        [(0, -1), (Fraction(1, 2), 1), (1, 2)])],
+}
+
+
+@st.composite
+def cancelling_polys(draw, field, dim=2, degree=2):
+    pool = list(mi_up_to_total(dim, degree))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(CANCELLING[field])),
+                         max_size=6))
+
+
+@given(st.sampled_from([P5, HAHN]).flatmap(
+    lambda field: st.tuples(st.just(field), cancelling_polys(field), cancelling_polys(field),
+                            st.sampled_from(CANCELLING[field] + [field.zero()]))))
+def test_poly_ops_match_old_loops(case):
+    field, f_items, g_items, value = case
+    f = SparsePoly.make(field, 2, f_items)
+    g = SparsePoly.make(field, 2, g_items)
+    assert f == old_make(field, 2, f_items)
+    # == compares the dicts, so a zero coefficient left behind fails it
+    assert SparsePoly.make(field, 2, f_items + g_items) == old_make(field, 2, f_items + g_items)
+    assert f + g == old_add(f, g)
+    assert f - g == old_add(f, SparsePoly(field, 2, {e: -c for e, c in g.coeffs.items()}))
+    assert (f - f).is_zero and not (f + f).coeffs.keys() - f.coeffs.keys()
+    assert f * g == old_mul(f, g)
+    assert f.scale(value) == old_scale(f, value)
+    for h in (f + g, f - g, f * g, f.scale(value)):
+        assert all(isinstance(c, Scalar) and not c.is_zero for c in h.coeffs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +338,20 @@ def test_sup_norm_on_holed_disc_is_gauss():
 
 # ---------------------------------------------------------------------------
 # hole basis derivative, against a symbolic pole-order oracle
+
+
+def laurent_basis_derivative(field, alpha: int, beta: int):
+    """Divided-power derivative of a hole basis function, in closed form.
+
+    With z = (tau/(x-a))^(beta+1), the quotient (d/dx)^(alpha) z / z equals
+    (-1)^alpha * C(alpha+beta, alpha) * (x-a)^(-alpha) whatever the hole
+    (a, tau).  Returns that scalar factor over ``field`` and the pole order
+    alpha.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("orders must be natural numbers")
+    factor = field.from_rational((-1) ** alpha * math.comb(alpha + beta, alpha))
+    return factor, alpha
 
 
 def pole_derivative_oracle(alpha: int, beta: int) -> Fraction:

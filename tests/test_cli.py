@@ -75,6 +75,12 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
     ["norms", "--operator", SAMPLE_PATH, "--domain", '{"type":"polydisc","radii":["1"]}'],
     ["norms", "--operator", SAMPLE_PATH, "--domain", "[1]"],
     ["counterexample", "claim2", "--backend", "p=3317044064679887385961981"],
+    # exponent text would reach Fraction, which takes minutes to build 10^999999999
+    ["counterexample", "claim1", "--mode", "disc", "--radius-valuation", "1e999999999"],
+    ["counterexample", "claim1", "--mode", "disc", "--center", "1e999999999"],
+    ["counterexample", "claim1", "--mode", "laurent", "--hole-center", "1e999999999"],
+    ["counterexample", "claim1", "--mode", "laurent", "--hole-radius-valuation", "1e999999999"],
+    ["norms", "--operator", SAMPLE_PATH, "--radius-valuation", "1e999999999"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, sample_op):
     argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]

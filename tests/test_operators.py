@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nadops.affinoid import (
     Polydisc,
     SparsePoly,
+    mi_add,
+    mi_binomial,
     mi_box,
+    mi_factorial,
+    mi_sub,
+    mi_total,
     mi_up_to_total,
     unit_polydisc,
 )
@@ -139,6 +144,58 @@ def test_compose_coherence_fuzz(seed):
     f = random_poly(rng, field, 2, 3)
     assert apply_operator(compose(P, Q), f) == \
         apply_operator(P, apply_operator(Q, f))
+
+
+# the sums-by-repeated-addition that the summing kernel replaced, kept as its oracle
+
+
+def old_apply_operator(P, f):
+    out = SparsePoly.zero(P.field, P.dim)
+    for alpha, a in P.coeffs.items():
+        image = f.derivative(alpha, divided=P.divided)
+        if not image.is_zero:
+            out = out + a * image
+    return out
+
+
+def old_compose(P, Q):
+    acc = {}
+    Pp, Qp = P.to_plain(), Q.to_plain()
+    for alpha, a in Pp.coeffs.items():
+        for beta, b in Qp.coeffs.items():
+            for gamma in mi_box(alpha):
+                index = mi_add(mi_sub(alpha, gamma), beta)
+                term = (a * b.derivative(gamma)).scale(mi_binomial(alpha, gamma))
+                acc[index] = acc[index] + term if index in acc else term
+    divided = P.divided and Q.divided
+    if divided:
+        acc = {a: poly.scale(mi_factorial(a)) for a, poly in acc.items()}
+    return DiffOperator.make(P.field, P.dim, acc, P.order + Q.order, divided)
+
+
+def old_symbol_coefficient(oracle, alpha):
+    acc = SparsePoly.zero(oracle.field, oracle.dim)
+    for beta in mi_box(alpha):
+        gap = mi_sub(alpha, beta)
+        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
+        acc = acc + oracle.query(beta) * SparsePoly.monomial(oracle.field, oracle.dim, gap, weight)
+    return acc.scale(Fraction(1, mi_factorial(alpha)))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30)
+def test_operator_sums_match_old_loops(seed):
+    rng = random.Random(seed)
+    field = rng.choice([P2, HAHN])
+    P = random_operator(rng, field, 2, 2, 2)
+    Q = random_operator(rng, field, 2, 2, 2)
+    f = random_poly(rng, field, 2, 3)
+    assert apply_operator(P, f) == old_apply_operator(P, f)
+    C, old = compose(P, Q), old_compose(P, Q)
+    assert C.divided == old.divided and C.coeffs == old.coeffs
+    oracle = EndoOracle.from_operator(C)
+    for alpha in mi_up_to_total(2, C.order):
+        assert symbol_coefficient(oracle, alpha) == old_symbol_coefficient(oracle, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 ``-O`` strips every ``assert`` statement, so a check kept in one silently
 stops running.  The AST walk keeps asserts out of every module of the
 package, and the subprocess runs show that the counterexample reports and
-the suite come out the same with and without ``-O``.
+the suite come out the same with and without ``-O``, and that the suite's
+bytes have not moved.
 """
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,6 +20,9 @@ import nadops
 
 PACKAGE = Path(nadops.__file__).parent
 MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py"))
+
+# sha256 of the stdout of `nadops suite --seed 123`, the README's whole sweep
+SUITE_123_SHA256 = "6a6fed363ac541b6a43041e12303d5205fc5b35b60a8d9595d1f298d6a548899"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -51,3 +56,5 @@ def test_counterexample_report_is_the_same_under_optimize(argv):
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert plain.stdout and plain.stdout == optimized.stdout
+    if argv == ["suite", "--seed", "123"]:
+        assert hashlib.sha256(plain.stdout).hexdigest() == SUITE_123_SHA256
