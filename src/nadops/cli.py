@@ -57,7 +57,7 @@ from .operators import (
     symbol_coefficient,
     total_symbol,
 )
-from .scalars import Field, Scalar, backend_from_name, format_valuation, parse_scalar
+from .scalars import Field, NormValue, Scalar, backend_from_name, format_valuation, parse_scalar
 
 
 def _load_operator(path: str, field: Field) -> DiffOperator:
@@ -124,19 +124,18 @@ def _cmd_identity(args) -> tuple[dict, list[dict]]:
 
 
 def _worked_families(field: Field) -> list[tuple[str, CoefficientFamily, str]]:
+    # members pi^(a^2), 1 and pi^(2a), stated by their Gauss valuations
     vpi = field.pi_valuation
-    one = SparsePoly.constant(field, 1, 1)
-    pi = field.uniformizer()
     return [
         ("quadratic-valuation-growth",
-         CoefficientFamily(field, 1, lambda a: one.scale(pi ** (a[0] * a[0])),
+         CoefficientFamily(field, 1, lambda a: NormValue.of(a[0] * a[0] * vpi),
                            bound=DecayBound(quad=vpi)),
          DECREASING_WITNESSED),
         ("constant-unit",
-         CoefficientFamily(field, 1, lambda a: one),
+         CoefficientFamily(field, 1, lambda a: NormValue.of(0)),
          NON_DECREASING_WITNESSED),
         ("linear-valuation-growth",
-         CoefficientFamily(field, 1, lambda a: one.scale(pi ** (2 * a[0]))),
+         CoefficientFamily(field, 1, lambda a: NormValue.of(2 * a[0] * vpi)),
          NON_DECREASING_WITNESSED),
         ("rep-product",
          RepProductFamily(default_scheme(field)).family(),

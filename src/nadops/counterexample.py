@@ -23,11 +23,14 @@ The recurrence is a stream: it yields the integer numerators over one
 leading denominator, lowest degree first, and keeps only the last s of
 them, so reading it needs O(s) coefficients of memory however large the
 degree.  The integrality of every division is checked as each numerator is
-produced, and the leading term when the stream ends.  The claim-2 rows and
-the claim-1 disc rows need only a degree and a Gauss valuation, so they
-fold the stream into min over j of v(c_j) + j r, less v(lead), without
-building a polynomial; member and member_on_subdisc build theirs from the
-same stream.
+produced, and the leading term when the stream ends.  Every claim reads
+only a degree and a Gauss valuation, so the stream is folded into min over
+j of v(c_j) + j r, less v(lead), without building a polynomial: on a disc
+of radius valuation r about a rational center, that is the Gauss valuation
+of the rescaled member.  The family handed to the classifier is that fold
+too.  member builds the polynomial about 0 from the same stream, and
+member_on_subdisc rescales it generically, for tests and for series
+centers.
 
 On the closed unit disc (radius valuation 0) the fold expands member(alpha)
 about its median representative lambda_m rather than about 0.  For
@@ -49,7 +52,6 @@ v(C(delta, alpha)) + gauss(member(alpha)).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,11 +78,6 @@ from .scalars import (
     _int_valuation,
     format_valuation,
 )
-
-
-def _as_rational(x: Scalar) -> Fraction | None:
-    """The scalar as a plain rational constant, or None for a real series."""
-    return x.field.as_rational(x.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +250,6 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
     return _Expansion(shift, lead, numerators())
 
 
-def _poly_from_expansion(field: Field, expansion: _Expansion,
-                         scale_valuation: Fraction | None = None) -> SparsePoly:
-    """Sparse polynomial of the expansion, coefficient j optionally scaled by
-    sigma^j with v(sigma) = scale_valuation (used to finish a rescale)."""
-    items = {}
-    sigma = None if scale_valuation is None else field.element_of_valuation(scale_valuation)
-    power = None if sigma is None else sigma ** expansion.shift
-    for j, value in enumerate(expansion.numerators, start=expansion.shift):
-        if value:
-            coeff = field.from_rational(Fraction(value, expansion.lead))
-            items[(j,)] = coeff if power is None else coeff * power
-        if power is not None:
-            power = power * sigma
-    return SparsePoly(field, 1, items)
-
-
 # ---------------------------------------------------------------------------
 # the family itself
 
@@ -291,26 +272,20 @@ class RepProductFamily:
                                       for beta in range(alpha + 1)])
 
     def member(self, alpha: int) -> SparsePoly:
-        return _poly_from_expansion(self.field, self._expansion(alpha, Fraction(0)))
+        expansion = self._expansion(alpha, Fraction(0))
+        return SparsePoly(self.field, 1, {
+            (j,): self.field.from_rational(Fraction(value, expansion.lead))
+            for j, value in enumerate(expansion.numerators, start=expansion.shift)
+            if value})
 
     def member_expected_degree(self, alpha: int) -> int:
         return (alpha + 1) * alpha * alpha
 
     def member_on_subdisc(self, alpha: int, center: Scalar,
                           radius_valuation: Fraction) -> SparsePoly:
-        """Exact expansion of member(alpha) at x = center + sigma y.
-
-        Rescaling is a ring homomorphism, so the factors are shifted
-        individually: the roots move to lambda_beta - center and the j-th
-        coefficient picks up valuation j * radius_valuation.  For series
-        centers this falls back to the generic affine substitution.
-        """
-        if radius_valuation < 0:
-            raise ValueError("radius valuation must be >= 0")
-        c = _as_rational(center)
-        if c is None:
-            return rescale_to_subdisc(self.member(alpha), (center,), (radius_valuation,))
-        return _poly_from_expansion(self.field, self._expansion(alpha, c), radius_valuation)
+        """member(alpha) at x = center + sigma y, with v(sigma) =
+        radius_valuation, by the generic rescale of an integral center."""
+        return rescale_to_subdisc(self.member(alpha), (center,), (radius_valuation,))
 
     def _degree_and_gauss(self, alpha: int, center: Scalar | None = None,
                           radius_valuation: Fraction = Fraction(0)) -> tuple[int, NormValue]:
@@ -328,7 +303,7 @@ class RepProductFamily:
             raise ValueError("family index must be a natural number")
         if radius_valuation < 0:
             raise ValueError("radius valuation must be >= 0")
-        c = Fraction(0) if center is None else _as_rational(center)
+        c = Fraction(0) if center is None else self.field.as_rational(center.payload)
         if c is None:
             xi = self.member_on_subdisc(alpha, center, radius_valuation)
             return xi.degree(), xi.gauss_valuation()
@@ -368,7 +343,7 @@ class RepProductFamily:
         return self.field.from_rational(q).valuation() >= NormValue.of(0)
 
     def family(self) -> CoefficientFamily:
-        return CoefficientFamily(self.field, 1, lambda a: self.member(a[0]))
+        return CoefficientFamily(self.field, 1, lambda a: self._degree_and_gauss(a[0])[1])
 
     def matching_indices(self, center: Scalar, up_to: int) -> list[tuple[int, NormValue]]:
         """Indices beta <= up_to whose representative shares the center's
@@ -405,7 +380,8 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
 
     one summand per factor whose representative shares the center's residue
     class.  A restricted family witness (structured bound with the first
-    matching index as shift) is then run through the decay classifier.
+    matching index as shift, members read from the fold on Z) is then run
+    through the decay classifier.
     """
     if radius_valuation <= 0:
         raise ValueError("a proper subdisc needs a strictly positive radius valuation")
@@ -440,7 +416,7 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
         quad = _min_with_radius(gap_by_index[gamma], radius_valuation)
         witness = CoefficientFamily(
             family.field, 1,
-            lambda a: family.member_on_subdisc(a[0], center, radius_valuation),
+            lambda a: family._degree_and_gauss(a[0], center, radius_valuation)[1],
             bound=DecayBound(quad=quad, shift=gamma))
         verdict = classify_rapid_decay(witness, r_max=3,
                                        index_cap=min(alpha_max, classify_index_cap))
@@ -498,18 +474,20 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
     C(alpha+beta, alpha) member(alpha) (x-a)^{-alpha}; writing member =
     (x - lambda_gamma)^(alpha^2) * rest and ((y+rho)^alpha / y)^alpha =
     (rho^alpha / tau * z_0 + f_alpha)^alpha with y = x - a and rho = a -
-    lambda_gamma, the certified valuation bound is
+    lambda_gamma, its valuation is at least
 
         v(C(alpha+beta, alpha)) + gauss(rest) + alpha * min(alpha v(rho) -
         v(tau), 0)     for alpha >= gamma,
 
-    checked against the displayed closed form alpha * min(alpha v(rho) -
-    v(tau), 0).  gauss(rest) is 0, since rest is a product of linear
-    factors x - lambda_beta with integral representatives, and f_alpha =
-    ((y + rho)^alpha - rho^alpha) / y is integral because v(rho) > 0.  Rows
-    with alpha < gamma use the crude bound -alpha v(tau) from
-    |1/(x-a)| <= 1/|tau|.  The finite constant and the index past which the
-    bound is exactly 0 are reported.
+    and the row displays the closed form alpha * min(alpha v(rho) - v(tau),
+    0).  gauss(rest) is 0, since rest is a product of linear factors x -
+    lambda_beta with integral representatives, and f_alpha = ((y +
+    rho)^alpha - rho^alpha) / y is integral because v(rho) > 0.  The
+    binomial is an integer, so v(C(alpha+beta, alpha)) >= 0 with equality
+    at beta = 0: beta does not move the bound, and beta_max is only echoed
+    in the report's params.  Rows with alpha < gamma use the crude bound
+    -alpha v(tau) from |1/(x-a)| <= 1/|tau|.  The finite constant and the
+    index past which the bound is exactly 0 are reported.
     """
     field = family.field
     vtau = Fraction(hole.radius_valuation)
@@ -525,25 +503,19 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
         monomial_worst = _monomial_side_valuation(family, alpha, delta_max)
         monomial_ok = monomial_worst >= NormValue.of(0)
 
-        # (ii) hole-basis ratio, certified piecewise
+        # (ii) hole-basis ratio, in closed form piecewise
         if gamma is not None and alpha >= gamma:
             vrho = rho.valuation()
             if vrho.is_infinite:
-                core = Fraction(0)
+                displayed = Fraction(0)
             else:
-                core = alpha * min(alpha * vrho.valuation - vtau, Fraction(0))
-            binom_floor = min(
-                field.from_rational(math.comb(alpha + b, alpha)).valuation().valuation
-                for b in range(beta_max + 1))
-            certified = binom_floor + core
-            displayed = core
+                displayed = alpha * min(alpha * vrho.valuation - vtau, Fraction(0))
         else:
-            certified = -alpha * vtau
             displayed = -alpha * vtau
         bound_column.append(displayed)
-        lhs = min(monomial_worst, NormValue.of(certified))
+        lhs = min(monomial_worst, NormValue.of(displayed))
         rhs = NormValue.of(min(displayed, Fraction(0)))
-        ok = monomial_ok and lhs >= rhs and certified >= displayed
+        ok = monomial_ok and lhs >= rhs
         all_pass = all_pass and ok
         rows.append({
             "alpha": alpha,

@@ -446,12 +446,14 @@ def coefficient_decay_report(P: DiffOperator, n: int,
 
 @dataclass(frozen=True)
 class DecayBound:
-    """Certified valuation lower bound, as a function of the total degree k:
+    """Declared valuation lower bound, as a function of the total degree k:
 
         L(k) = quad * max(0, k - shift)^2 + slope * k + offset
 
     Shipping the bound in this shape is what lets the classifier certify a
-    limit; an opaque callable could only ever be sampled.
+    limit; an opaque callable could only ever be sampled.  The classifier
+    spot-checks it against the family's Gauss valuations at the first
+    degrees before trusting it.
     """
 
     quad: Fraction
@@ -467,22 +469,22 @@ class DecayBound:
 
 @dataclass(eq=False)
 class CoefficientFamily:
-    """A family alpha -> coefficient polynomial, optionally with a DecayBound.
+    """A coefficient family alpha -> a_alpha, carried as the Gauss valuation
+    v(a_alpha) of each member, optionally with a DecayBound.
 
-    The bound, when present, must lower-bound the true Gauss valuation at
-    every index; the classifier spot-checks that before trusting it.
+    Rapid decay compares v(a_alpha) - r |alpha| v(pi) as alpha grows, so the
+    valuations are all the classifier reads.  The bound, when present, must
+    lower-bound the valuation at every index.
     """
 
     field: Field
     dim: int
-    generator: Callable[[MultiIndex], SparsePoly]
+    gauss: Callable[[MultiIndex], NormValue]
     bound: DecayBound | None = None
 
-    def member(self, alpha: MultiIndex) -> SparsePoly:
-        poly = self.generator(tuple(alpha))
-        if poly.field != self.field or poly.dim != self.dim:
-            raise ValueError("family generator returned a mismatched polynomial")
-        return poly
+    def member(self, alpha: MultiIndex) -> NormValue:
+        """v(a_alpha), the Gauss valuation of member alpha."""
+        return self.gauss(tuple(alpha))
 
 
 def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
@@ -501,7 +503,7 @@ def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
     if family.bound is not None:
         for k in range(min(3, index_cap) + 1):
             for alpha in mi_with_total(family.dim, k):
-                truth = family.member(alpha).gauss_valuation()
+                truth = family.member(alpha)
                 if truth < NormValue.of(family.bound(k)):
                     raise ValueError(
                         f"declared bound exceeds the true valuation at {alpha}: "
@@ -515,7 +517,7 @@ def classify_rapid_decay(family: CoefficientFamily, r_max: int = 3,
     for k in range(index_cap + 1):
         level = NormValue.infinite()
         for alpha in mi_with_total(family.dim, k):
-            level = min(level, family.member(alpha).gauss_valuation())
+            level = min(level, family.member(alpha))
         level_valuations.append(level.valuation)
 
     for r in range(1, r_max + 1):

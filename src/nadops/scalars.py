@@ -74,17 +74,17 @@ class NormValue:
     def _key(self) -> tuple[int, Fraction]:
         return (1, Fraction(0)) if self.valuation is None else (0, self.valuation)
 
+    # > and >= come from Python's reflection of these two; against any other
+    # type both sides decline and the comparison raises TypeError
     def __lt__(self, other: "NormValue") -> bool:
+        if not isinstance(other, NormValue):
+            return NotImplemented
         return self._key() < other._key()
 
     def __le__(self, other: "NormValue") -> bool:
+        if not isinstance(other, NormValue):
+            return NotImplemented
         return self._key() <= other._key()
-
-    def __gt__(self, other: "NormValue") -> bool:
-        return other < self
-
-    def __ge__(self, other: "NormValue") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         return "inf" if self.valuation is None else str(self.valuation)
@@ -249,10 +249,6 @@ class PAdicField:
             raise ArithmeticError(f"v_p({m}!) = {result} exceeds the Legendre bound {m}/(p-1)")
         return result
 
-    def factorial_rate(self) -> Fraction:
-        """Slope of the factorial valuation bound: v(m!) <= m * rate."""
-        return Fraction(1, self.p - 1)
-
 
 @dataclass(frozen=True)
 class HahnField:
@@ -371,9 +367,6 @@ class HahnField:
     def factorial_valuation(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError("factorial of a negative integer")
-        return Fraction(0)
-
-    def factorial_rate(self) -> Fraction:
         return Fraction(0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nadops import counterexample
-from nadops.affinoid import Hole, SparsePoly, rescale_to_subdisc
+from nadops.affinoid import Hole, SparsePoly
 from nadops.counterexample import (
     CosetRepScheme,
     RepProductFamily,
@@ -21,7 +21,12 @@ from nadops.counterexample import (
     verify_claim1_laurent,
     verify_claim2,
 )
-from nadops.operators import DECREASING_WITNESSED, DiffOperator, apply_operator
+from nadops.operators import (
+    DECREASING_WITNESSED,
+    DiffOperator,
+    apply_operator,
+    classify_rapid_decay,
+)
 from nadops.scalars import HahnField, NormValue, PAdicField
 
 P2 = PAdicField(2)
@@ -40,6 +45,35 @@ def naive_member(scheme: CosetRepScheme, alpha: int) -> SparsePoly:
             - SparsePoly.constant(field, 1, scheme.rep(beta))
         out = out * linear ** (alpha * alpha)
     return out
+
+
+def naive_member_on_subdisc(scheme: CosetRepScheme, alpha: int, center,
+                            radius_valuation: Fraction) -> SparsePoly:
+    """member(alpha) at x = center + sigma y, v(sigma) = radius_valuation,
+    rescaled factor by factor: (sigma y + center - lambda_beta)^(alpha^2)."""
+    field = scheme.field
+    sigma_y = SparsePoly.variable(field, 1, 0).scale(field.element_of_valuation(radius_valuation))
+    out = SparsePoly.constant(field, 1, 1)
+    for beta in range(alpha + 1):
+        linear = sigma_y + SparsePoly.constant(field, 1, center - scheme.rep(beta))
+        out = out * linear ** (alpha * alpha)
+    return out
+
+
+def expansion_on_subdisc(fam: RepProductFamily, alpha: int, c: Fraction,
+                         radius_valuation: Fraction) -> SparsePoly:
+    """member(alpha) at x = c + sigma y for a rational center c: the
+    expansion stream about c, coefficient j scaled by sigma^j.  It builds
+    every coefficient whose valuation the fold takes, so it is the fold's
+    oracle; unlike the generic rescale it also takes centers that are not
+    integral."""
+    field = fam.field
+    sigma = field.element_of_valuation(radius_valuation)
+    expansion = fam._expansion(alpha, c)
+    return SparsePoly(field, 1, {
+        (j,): field.from_rational(Fraction(value, expansion.lead)) * sigma ** j
+        for j, value in enumerate(expansion.numerators, start=expansion.shift)
+        if value})
 
 
 def expand(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
@@ -238,28 +272,28 @@ def test_member_rejects_negative_index():
 
 def test_member_on_subdisc_matches_generic_rescale():
     for field in (P2, HAHN):
-        fam = RepProductFamily(default_scheme(field))
+        scheme = default_scheme(field)
+        fam = RepProductFamily(scheme)
         for alpha in range(4):
             for c, r in ((0, 1), (1, 2)):
-                fast = fam.member_on_subdisc(alpha, field.from_rational(c), Fraction(r))
-                slow = rescale_to_subdisc(fam.member(alpha),
-                                          (field.from_rational(c),), (Fraction(r),))
-                assert fast == slow, (field.name, alpha, c, r)
+                got = fam.member_on_subdisc(alpha, field.from_rational(c), Fraction(r))
+                assert got == expansion_on_subdisc(fam, alpha, Fraction(c), Fraction(r)), \
+                    (field.name, alpha, c, r)
+                assert got == naive_member_on_subdisc(scheme, alpha, field.from_rational(c),
+                                                      Fraction(r))
 
 
 def test_member_on_subdisc_fractional_radius_hahn():
     fam = RepProductFamily(integer_scheme(HAHN))
-    fast = fam.member_on_subdisc(2, HAHN.zero(), Fraction(1, 2))
-    slow = rescale_to_subdisc(fam.member(2), (HAHN.zero(),), (Fraction(1, 2),))
-    assert fast == slow
+    got = fam.member_on_subdisc(2, HAHN.zero(), Fraction(1, 2))
+    assert got == expansion_on_subdisc(fam, 2, Fraction(0), Fraction(1, 2))
 
 
 def test_member_on_subdisc_series_center_falls_back():
-    fam = RepProductFamily(integer_scheme(HAHN))
+    scheme = integer_scheme(HAHN)
     center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
-    got = fam.member_on_subdisc(2, center, Fraction(2))
-    want = rescale_to_subdisc(fam.member(2), (center,), (Fraction(2),))
-    assert got == want
+    got = RepProductFamily(scheme).member_on_subdisc(2, center, Fraction(2))
+    assert got == naive_member_on_subdisc(scheme, 2, center, Fraction(2))
 
 
 def test_normalized_member_valuation():
@@ -300,6 +334,16 @@ def disc_cases(draw):
     else:
         radius = draw(st.builds(Fraction, st.integers(0, 7), st.integers(1, 4)))
     return scheme, alpha, center, radius
+
+
+@pytest.mark.parametrize("scheme", [SCHEMES[0], SCHEMES[1], SCHEMES[3], SCHEMES[4]],
+                         ids=lambda scheme: scheme.name)
+def test_family_is_the_fold_of_member(scheme):
+    # the classifier reads member(alpha)'s Gauss valuation off the fold
+    fam = RepProductFamily(scheme)
+    family = fam.family()
+    for alpha in range(9):
+        assert family.member((alpha,)) == fam.member(alpha).gauss_valuation(), alpha
 
 
 @settings(deadline=None)
@@ -349,18 +393,18 @@ def test_fold_matches_member_on_subdisc(case):
     scheme, alpha, c, r = case
     fam = RepProductFamily(scheme)
     center = scheme.field.from_rational(c)
-    xi = fam.member_on_subdisc(alpha, center, r)
+    xi = expansion_on_subdisc(fam, alpha, c, r)
     folded = fam._degree_and_gauss(alpha, center, r)
     assert folded == (xi.degree(), xi.gauss_valuation())
     if center.valuation() >= NormValue.of(0):
-        generic = rescale_to_subdisc(fam.member(alpha), (center,), (r,))
+        generic = fam.member_on_subdisc(alpha, center, r)
         assert folded == (generic.degree(), generic.gauss_valuation())
 
 
 def test_fold_on_series_center_takes_the_generic_rescale():
     fam = RepProductFamily(integer_scheme(HAHN))
     center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
-    generic = rescale_to_subdisc(fam.member(2), (center,), (Fraction(2),))
+    generic = naive_member_on_subdisc(fam.scheme, 2, center, Fraction(2))
     assert fam._degree_and_gauss(2, center, Fraction(2)) == (12, generic.gauss_valuation())
 
 
@@ -430,6 +474,43 @@ def test_claim1_disc_rational_scheme_fractional_center():
                              classify_index_cap=5)
     assert rep["params"]["gamma"] == 3  # 1/2 sits at index 3 of the enumeration
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("scheme, c, r", [
+    (cycling_scheme(P2), 1, Fraction(3)),
+    (cycling_scheme(P3), 4, Fraction(1)),
+    (integer_scheme(HAHN), 2, Fraction(3, 2)),
+    (rational_scheme(HAHN), Fraction(1, 2), Fraction(1, 3)),
+])
+def test_claim1_disc_witness_is_the_subdisc_gauss_valuation(scheme, c, r):
+    fam = RepProductFamily(scheme)
+    center = scheme.field.from_rational(c)
+    seen = []
+
+    def capture(family, **kwargs):
+        seen.append(family)
+        return classify_rapid_decay(family, **kwargs)
+
+    with mock.patch.object(counterexample, "classify_rapid_decay", capture):
+        assert verify_claim1_disc(fam, center, r, 4)["pass"]
+    (witness,) = seen
+    for alpha in range(5):
+        want = fam.member_on_subdisc(alpha, center, r).gauss_valuation()
+        assert witness.member((alpha,)) == want, alpha
+
+
+def test_claim1_disc_memory_does_not_grow_with_the_radius():
+    # the witness folds the stream; rescaling the members by 2^(10^6 j)
+    # instead peaks at 79 MiB on this call
+    family = RepProductFamily(cycling_scheme(P2))
+    tracemalloc.start()
+    try:
+        report = verify_claim1_disc(family, P2.from_rational(1), Fraction(10**6), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 2 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
 
 def test_claim1_disc_validates_inputs():

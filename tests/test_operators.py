@@ -389,28 +389,23 @@ def test_decay_report_holds_on_fuzz(seed):
 # decay classifier
 
 
-def one_poly(field):
-    return SparsePoly.constant(field, 1, 1)
-
-
 def test_classifier_worked_families():
+    # members pi^(a^2), 1 and pi^(2a), by their Gauss valuations
     for field in (P2, HAHN):
         vpi = field.pi_valuation
-        pi = field.uniformizer()
-        one = one_poly(field)
         quadratic = CoefficientFamily(
-            field, 1, lambda a: one.scale(pi ** (a[0] * a[0])),
+            field, 1, lambda a: NormValue.of(a[0] * a[0] * vpi),
             bound=DecayBound(quad=vpi))
         assert classify_rapid_decay(quadratic) == DECREASING_WITNESSED
-        constant = CoefficientFamily(field, 1, lambda a: one)
+        constant = CoefficientFamily(field, 1, lambda a: NormValue.of(0))
         assert classify_rapid_decay(constant) == NON_DECREASING_WITNESSED
-        linear = CoefficientFamily(field, 1, lambda a: one.scale(pi ** (2 * a[0])))
+        linear = CoefficientFamily(field, 1, lambda a: NormValue.of(2 * a[0] * vpi))
         assert classify_rapid_decay(linear) == NON_DECREASING_WITNESSED
 
 
 def test_classifier_rejects_overstated_bound():
     constant = CoefficientFamily(
-        P2, 1, lambda a: one_poly(P2),
+        P2, 1, lambda a: NormValue.of(0),
         bound=DecayBound(quad=Fraction(1), offset=Fraction(5)))
     with pytest.raises(ValueError):
         classify_rapid_decay(constant)
@@ -419,17 +414,13 @@ def test_classifier_rejects_overstated_bound():
 def test_classifier_is_inconclusive_when_window_is_too_short():
     # growth rate 2 v(pi) per index needs ratio r = 3; with index_cap 4 the
     # guard 2r <= cap blocks that ratio, so no witness can be formed
-    pi = P2.uniformizer()
-    one = one_poly(P2)
-    linear = CoefficientFamily(P2, 1, lambda a: one.scale(pi ** (2 * a[0])))
+    linear = CoefficientFamily(P2, 1, lambda a: NormValue.of(2 * a[0]))
     assert classify_rapid_decay(linear, r_max=3, index_cap=4) == INCONCLUSIVE
 
 
 def family_meeting(bound):
     """member(k) = t^(L(k)) over Hahn: valuations equal to the declared bound."""
-    one = one_poly(HAHN)
-    return CoefficientFamily(
-        HAHN, 1, lambda a: one.scale(HAHN.element_of_valuation(bound(a[0]))), bound=bound)
+    return CoefficientFamily(HAHN, 1, lambda a: NormValue.of(bound(a[0])), bound=bound)
 
 
 def test_classifier_certificate_paths_agree():
@@ -443,10 +434,12 @@ def test_classifier_certificate_paths_agree():
                 assert classify_rapid_decay(family_meeting(bound)) == expected, bound
 
 
-def test_family_generator_type_check():
-    bad = CoefficientFamily(P2, 1, lambda a: one_poly(HAHN))
-    with pytest.raises(ValueError):
-        bad.member((0,))
+@pytest.mark.parametrize("bound", [None, DecayBound(quad=Fraction(1))])
+def test_classifier_refuses_a_family_of_polynomials(bound):
+    # a family states valuations; a polynomial cannot be ordered against them
+    polys = CoefficientFamily(P2, 1, lambda a: const(1), bound=bound)
+    with pytest.raises(TypeError):
+        classify_rapid_decay(polys)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ def test_no_assert_statements(name):
      "--hole-radius-valuation", "2", "--alpha-max", "6", "--beta-max", "6", "--delta-max", "12"],
     ["counterexample", "claim1", "--backend", "hahn", "--mode", "laurent", "--hole-center", "0",
      "--hole-radius-valuation", "1", "--alpha-max", "6", "--beta-max", "6", "--delta-max", "12"],
+    ["classify", "--backend", "p=3", "--index-cap", "16"],
+    ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "1",
+     "--alpha-max", "3", "--radius-valuation", "1000000"],
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv):
     env = dict(os.environ)

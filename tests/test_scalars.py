@@ -64,6 +64,17 @@ def test_norm_value_ordering_puts_infinity_on_top():
     assert NormValue.of(0) < NormValue.of(Fraction(3, 2)) < NormValue.infinite()
     assert NormValue.infinite() <= NormValue.infinite()
     assert not (NormValue.infinite() < NormValue.infinite())
+    assert NormValue.infinite() > NormValue.of(7) >= NormValue.of(7)
+
+
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), None, "0"])
+def test_norm_value_refuses_to_order_against_other_types(other):
+    # each of these once recursed without end or raised AttributeError
+    for compare in (lambda: NormValue.of(0) < other, lambda: NormValue.of(0) <= other,
+                    lambda: NormValue.of(0) > other, lambda: NormValue.of(0) >= other,
+                    lambda: other < NormValue.infinite()):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_norm_value_addition_and_scaling():
@@ -176,12 +187,6 @@ def test_legendre_matches_brute_factorization():
     for field in (P2, P3, P5, PAdicField(7)):
         for m in range(0, 201):
             assert field.factorial_valuation(m) == brute_factorial_valuation(m, field.p)
-
-
-def test_factorial_rate():
-    assert P2.factorial_rate() == 1
-    assert P3.factorial_rate() == Fraction(1, 2)
-    assert HAHN.factorial_rate() == 0
 
 
 @given(padic_scalars(P3), padic_scalars(P3))
