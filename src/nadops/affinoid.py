@@ -269,9 +269,9 @@ def _combine(field: Field, dim: int, parts: Iterable[_Part]) -> SparsePoly:
 
     ``terms`` is any iterable of (exponent, coefficient) pairs over ``field``,
     such as ``poly.coeffs.items()``; a None scalar stands for 1 and a None
-    shift for 0.  Every coefficient is summed into one dict of payloads, and
-    zeros are dropped once at the end, so a cancellation anywhere in the sum
-    leaves no key behind.
+    shift for 0.  Every coefficient is summed into one dict of the field's
+    internal values, and zeros are dropped once at the end, so a cancellation
+    anywhere in the sum leaves no key behind.
     """
     add, mul = field.add, field.mul
     acc: dict = {}
@@ -281,9 +281,9 @@ def _combine(field: Field, dim: int, parts: Iterable[_Part]) -> SparsePoly:
         if scalar is not None:
             if scalar.field is not field and scalar.field != field:
                 raise ValueError(f"mixed-backend arithmetic: {field.name} vs {scalar.field.name}")
-            factor = scalar.payload
+            factor = scalar.q
         for exponent, coeff in terms:
-            value = coeff.payload if factor is None else mul(coeff.payload, factor)
+            value = coeff.q if factor is None else mul(coeff.q, factor)
             if shift is not None:
                 exponent = mi_add(exponent, shift)
             prev = get(exponent)

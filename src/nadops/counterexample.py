@@ -303,7 +303,7 @@ class RepProductFamily:
             raise ValueError("family index must be a natural number")
         if radius_valuation < 0:
             raise ValueError("radius valuation must be >= 0")
-        c = Fraction(0) if center is None else self.field.as_rational(center.payload)
+        c = Fraction(0) if center is None else self.field.as_rational(center.q)
         if c is None:
             xi = self.member_on_subdisc(alpha, center, radius_valuation)
             return xi.degree(), xi.gauss_valuation()

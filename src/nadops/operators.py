@@ -645,8 +645,8 @@ def operator_from_text(text: str, field: Field | None = None) -> DiffOperator:
 def random_scalar(rng: random.Random, field: Field) -> Scalar:
     if isinstance(field, PAdicField):
         num = rng.choice([n for n in range(-9, 10) if n])
-        value = Fraction(num, rng.randint(1, 9)) * Fraction(field.p) ** rng.randint(-2, 2)
-        return field.from_rational(value)
+        value = field.from_rational(num).div(field.from_rational(rng.randint(1, 9)))
+        return value * field.uniformizer() ** rng.randint(-2, 2)
     terms = []
     for _ in range(rng.randint(1, 3)):
         exponent = Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2, 3]))

@@ -1,19 +1,34 @@
 """Exact scalars for two non-Archimedean coefficient fields.
 
-A Scalar is a record of a field and a payload.  Each field owns the
-arithmetic on its payloads (add, mul, neg, div, is_zero, valuation,
-to_text), so a Scalar only checks that both operands share a field and
-delegates.  The two fields:
+A Scalar is a record of a field and a value in the field's internal form.
+Each field owns the arithmetic on that form (add, mul, neg, div, is_zero,
+valuation, to_text), so a Scalar only checks that both operands share a
+field and delegates.
 
-  * p-adic rationals: the payload is a Fraction, and the valuation is the
-    p-adic valuation v_p(num) - v_p(den).  Arithmetic is plain rational
+Every rational inside a value is a normalized int pair (n, d): d > 0,
+gcd(n, d) = 1, and zero is always (0, 1).  A small kernel of module-private
+functions (_qadd, _qmul, _qneg, _qdiv, _qtext) computes on these pairs
+exactly as Fraction does, without Fraction's per-operation overhead; since
+the form is canonical, equal values have equal pairs, and tuple equality and
+hashing follow value.  The two fields:
+
+  * p-adic rationals: the value is one pair, and the valuation is the
+    p-adic valuation v_p(n) - v_p(d).  Arithmetic is plain rational
     arithmetic, so every operation is exact.
-  * Hahn series over the rationals with rational exponents: the payload is a
-    finite support map {exponent: coefficient}, stored as a sorted tuple of
-    (Fraction, Fraction) pairs with no zero coefficients.  The valuation is
-    the smallest exponent in the support.  Sums merge two sorted payloads;
-    division is exact only by a monomial, because the inverse of any other
-    series has infinite support.
+  * Hahn series over the rationals with rational exponents: the value is a
+    finite support map {exponent: coefficient}, stored as a tuple of
+    (exponent pair, coefficient pair) terms sorted by exponent, with no zero
+    coefficients.  The valuation is the smallest exponent in the support.
+    Sums merge two sorted supports, comparing exponents by
+    cross-multiplication; a general product sorts once, keyed by the exact
+    Fraction of each exponent.  Division is exact only by a monomial,
+    because the inverse of any other series has infinite support.
+
+The internal form lives in the Scalar's ``q`` slot.  ``Scalar.payload`` is
+a read-only view of it in the documented layout: a Fraction for a p-adic
+scalar, and a tuple of sorted (Fraction, Fraction) pairs for a Hahn series.
+Fraction remains only at the edges: the view, ``as_rational``, valuations
+(a NormValue holds a Fraction) and the parsing of input.
 
 Norms are never represented as floats.  A norm is carried as a NormValue,
 which is just the valuation (an exact Fraction, or +infinity for zero);
@@ -26,11 +41,16 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
-HahnPayload = tuple[tuple[Fraction, Fraction], ...]
+# a normalized rational n/d: d > 0, gcd(n, d) = 1, zero is (0, 1)
+_Q = tuple[int, int]
+
+# a Hahn series' internal form: (exponent, coefficient) terms, sorted by exponent
+HahnPayload = tuple[tuple[_Q, _Q], ...]
 
 
 class HahnDivisionError(ArithmeticError):
@@ -160,17 +180,89 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _normalize_hahn(terms: Iterable[tuple[Rational, Rational]]) -> HahnPayload:
-    """Payload of unsorted (exponent, coefficient) pairs, e.g. parsed text."""
-    acc: dict[Fraction, Fraction] = {}
-    for exponent, coeff in terms:
-        e, c = Fraction(exponent), Fraction(coeff)
-        c = acc.get(e, Fraction(0)) + c
-        if c == 0:
-            acc.pop(e, None)
-        else:
-            acc[e] = c
-    return tuple(sorted(acc.items()))
+# ---------------------------------------------------------------------------
+# the rational kernel on normalized int pairs; each function follows the
+# algorithm of the matching Fraction operation, so results are canonical
+
+
+def _qof(x: Rational) -> _Q:
+    """The pair of an int or a Fraction, read off its numerator and denominator
+    without building a Fraction; any other number goes through Fraction first."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return (x.numerator, x.denominator)
+
+
+def _qadd(a: _Q, b: _Q) -> _Q:
+    na, da = a
+    nb, db = b
+    if da == db:
+        # only this branch can cancel to zero, and gcd(0, d) = d gives (0, 1)
+        n = na + nb
+        g = gcd(n, da)
+        return (n, da) if g == 1 else (n // g, da // g)
+    g = gcd(da, db)
+    if g == 1:
+        return (na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return (t, s * db) if g2 == 1 else (t // g2, s * (db // g2))
+
+
+def _qneg(a: _Q) -> _Q:
+    return (-a[0], a[1])
+
+
+def _qmul(a: _Q, b: _Q) -> _Q:
+    # cross-gcd: cancel each numerator against the other denominator
+    na, da = a
+    nb, db = b
+    g = gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    return (na * nb, da * db)
+
+
+def _qdiv(a: _Q, b: _Q) -> _Q:
+    na, da = a
+    nb, db = b
+    if not nb:
+        raise ZeroDivisionError("rational division by zero")
+    g = gcd(na, nb)
+    if g > 1:
+        na //= g
+        nb //= g
+    g = gcd(db, da)
+    if g > 1:
+        db //= g
+        da //= g
+    n, d = na * db, nb * da
+    # the divisor's sign moves to the numerator
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _qtext(a: _Q) -> str:
+    """The text str(Fraction) gives: '3', '-4/3'."""
+    return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
+
+
+def _exponent_key(term: tuple[_Q, _Q]) -> Fraction:
+    return Fraction(*term[0])
+
+
+def _support(acc: dict[_Q, _Q]) -> HahnPayload:
+    """The sorted Hahn form of an {exponent: coefficient} map, zeros dropped."""
+    return tuple(sorted([term for term in acc.items() if term[1][0]], key=_exponent_key))
+
+
+_ZERO = (0, 1)
+_ONE = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -188,42 +280,47 @@ class PAdicField:
         return f"p={self.p}"
 
     def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0))
+        return Scalar(self, _ZERO)
 
     def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1))
+        return Scalar(self, _ONE)
 
     def from_rational(self, q: Rational) -> "Scalar":
-        return Scalar(self, Fraction(q))
+        return Scalar(self, _qof(q))
 
     def uniformizer(self) -> "Scalar":
-        return Scalar(self, Fraction(self.p))
+        return Scalar(self, (self.p, 1))
 
     @property
     def pi_valuation(self) -> Fraction:
         """v(pi) for the uniformizer pi = p."""
         return Fraction(1)
 
-    # payload arithmetic: payloads are Fractions
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-    div = staticmethod(operator.truediv)
-    is_zero = staticmethod(operator.not_)
-
-    def valuation(self, payload: Fraction) -> Fraction | None:
-        if payload == 0:
-            return None
-        return Fraction(_int_valuation(payload.numerator, self.p)
-                        - _int_valuation(payload.denominator, self.p))
-
-    def to_text(self, payload: Fraction) -> str:
-        return f"{payload.numerator}/{payload.denominator}@{self.p}"
+    # arithmetic on the internal form: one normalized pair
+    add = staticmethod(_qadd)
+    mul = staticmethod(_qmul)
+    neg = staticmethod(_qneg)
+    div = staticmethod(_qdiv)
 
     @staticmethod
-    def as_rational(payload: Fraction) -> Fraction:
-        """The payload as a plain rational constant; every p-adic scalar is one."""
-        return payload
+    def is_zero(q: _Q) -> bool:
+        return not q[0]
+
+    def valuation(self, q: _Q) -> Fraction | None:
+        n, d = q
+        if not n:
+            return None
+        return Fraction(_int_valuation(n, self.p) - _int_valuation(d, self.p))
+
+    def to_text(self, q: _Q) -> str:
+        return f"{q[0]}/{q[1]}@{self.p}"
+
+    @staticmethod
+    def as_rational(q: _Q) -> Fraction:
+        """The value as a plain rational constant; every p-adic scalar is one."""
+        return Fraction(*q)
+
+    _view = as_rational
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """Some scalar of the requested valuation; here, a power of p.
@@ -233,7 +330,8 @@ class PAdicField:
         v = Fraction(v)
         if v.denominator != 1:
             raise ValueError(f"valuation {v} is not in the value group Z of the p-adic backend")
-        return Scalar(self, Fraction(self.p) ** int(v))
+        k = int(v)
+        return Scalar(self, (self.p ** k, 1) if k >= 0 else (1, self.p ** -k))
 
     def factorial_valuation(self, m: int) -> Fraction:
         """v_p(m!) by summing floor(m / p^k); bounded by m/(p-1)."""
@@ -266,25 +364,31 @@ class HahnField:
         return Scalar(self, ())
 
     def one(self) -> "Scalar":
-        return Scalar(self, ((Fraction(0), Fraction(1)),))
+        return Scalar(self, ((_ZERO, _ONE),))
 
     def from_rational(self, q: Rational) -> "Scalar":
-        q = Fraction(q)
-        return Scalar(self, () if q == 0 else ((Fraction(0), q),))
+        c = _qof(q)
+        return Scalar(self, ((_ZERO, c),) if c[0] else ())
 
     def from_terms(self, terms: Iterable[tuple[Rational, Rational]]) -> "Scalar":
-        """Build a series from (exponent, coefficient) pairs."""
-        return Scalar(self, _normalize_hahn(terms))
+        """Build a series from (exponent, coefficient) pairs in any order."""
+        acc: dict[_Q, _Q] = {}
+        for exponent, coeff in terms:
+            e = _qof(exponent)
+            c = _qof(coeff)
+            prev = acc.get(e)
+            acc[e] = c if prev is None else _qadd(prev, c)
+        return Scalar(self, _support(acc))
 
     def uniformizer(self) -> "Scalar":
-        return Scalar(self, ((Fraction(1), Fraction(1)),))
+        return Scalar(self, ((_ONE, _ONE),))
 
     @property
     def pi_valuation(self) -> Fraction:
         """v(pi) for the uniformizer pi = t."""
         return Fraction(1)
 
-    # payload arithmetic: payloads are sorted (exponent, coefficient) tuples
+    # arithmetic on the internal form: sorted (exponent, coefficient) terms
     is_zero = staticmethod(operator.not_)
 
     @staticmethod
@@ -293,19 +397,19 @@ class HahnField:
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
-            ea, ca = a[i]
-            eb, cb = b[j]
-            if ea < eb:
-                out.append(a[i])
-                i += 1
-            elif eb < ea:
-                out.append(b[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c:
+            ta, tb = a[i], b[j]
+            ea, eb = ta[0], tb[0]
+            if ea == eb:
+                c = _qadd(ta[1], tb[1])
+                if c[0]:
                     out.append((ea, c))
                 i += 1
+                j += 1
+            elif ea[0] * eb[1] < eb[0] * ea[1]:  # ea < eb, as denominators are positive
+                out.append(ta)
+                i += 1
+            else:
+                out.append(tb)
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
@@ -318,18 +422,18 @@ class HahnField:
         if len(a) == 1:
             # a monomial shifts and scales: the result stays sorted and nonzero
             (e, c), = a
-            return tuple((e + eb, c * cb) for eb, cb in b)
-        acc: dict[Fraction, Fraction] = {}
+            return tuple((_qadd(e, eb), _qmul(c, cb)) for eb, cb in b)
+        acc: dict[_Q, _Q] = {}
         for ea, ca in a:
             for eb, cb in b:
-                e = ea + eb
+                e = _qadd(ea, eb)
                 prev = acc.get(e)
-                acc[e] = ca * cb if prev is None else prev + ca * cb
-        return tuple(sorted(term for term in acc.items() if term[1]))
+                acc[e] = _qmul(ca, cb) if prev is None else _qadd(prev, _qmul(ca, cb))
+        return _support(acc)
 
     @staticmethod
     def neg(a: HahnPayload) -> HahnPayload:
-        return tuple((e, -c) for e, c in a)
+        return tuple((e, _qneg(c)) for e, c in a)
 
     @staticmethod
     def div(a: HahnPayload, b: HahnPayload) -> HahnPayload:
@@ -337,32 +441,37 @@ class HahnField:
         if len(b) != 1:
             raise HahnDivisionError("a Hahn series divides exactly only by a monomial")
         (e, c), = b
-        return tuple((ea - e, ca / c) for ea, ca in a)
+        shift = _qneg(e)
+        return tuple((_qadd(ea, shift), _qdiv(ca, c)) for ea, ca in a)
 
     @staticmethod
-    def valuation(payload: HahnPayload) -> Fraction | None:
-        if not payload:
+    def valuation(q: HahnPayload) -> Fraction | None:
+        if not q:
             return None
-        return payload[0][0]  # support is sorted, valuation is the least exponent
+        return Fraction(*q[0][0])  # support is sorted, valuation is the least exponent
 
     @staticmethod
-    def to_text(payload: HahnPayload) -> str:
-        if not payload:
+    def to_text(q: HahnPayload) -> str:
+        if not q:
             return "0"
-        return " + ".join(f"{c}*t^({e})" for e, c in payload)
+        return " + ".join(f"{_qtext(c)}*t^({_qtext(e)})" for e, c in q)
 
     @staticmethod
-    def as_rational(payload: HahnPayload) -> Fraction | None:
-        """The payload as a plain rational constant, or None for a real series."""
-        if not payload:
+    def as_rational(q: HahnPayload) -> Fraction | None:
+        """The value as a plain rational constant, or None for a real series."""
+        if not q:
             return Fraction(0)
-        if len(payload) == 1 and payload[0][0] == 0:
-            return payload[0][1]
+        if len(q) == 1 and q[0][0] == _ZERO:
+            return Fraction(*q[0][1])
         return None
+
+    @staticmethod
+    def _view(q: HahnPayload) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(*e), Fraction(*c)) for e, c in q)
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """t^v; the value group is all of Q."""
-        return Scalar(self, ((Fraction(v), Fraction(1)),))
+        return Scalar(self, ((_qof(v), _ONE),))
 
     def factorial_valuation(self, m: int) -> Fraction:
         if m < 0:
@@ -376,23 +485,31 @@ Field = Union[PAdicField, HahnField]
 class Scalar:
     """An exact element of one of the two coefficient fields.
 
-    A record of (field, payload), treated as immutable; every operation
-    returns a new Scalar and delegates the payload arithmetic to the field.
+    A record of (field, q), treated as immutable, where q is the field's
+    internal form (module docstring); every operation returns a new Scalar
+    and delegates the arithmetic to the field.  Equality and hashing read q,
+    which is canonical, so they follow value.
     """
 
-    __slots__ = ("field", "payload")
+    __slots__ = ("field", "q")
 
-    def __init__(self, field: Field, payload: Fraction | HahnPayload) -> None:
+    def __init__(self, field: Field, q: _Q | HahnPayload) -> None:
         self.field = field
-        self.payload = payload
+        self.q = q
+
+    @property
+    def payload(self) -> Fraction | tuple[tuple[Fraction, Fraction], ...]:
+        """Read-only view of the value: a Fraction for a p-adic scalar, sorted
+        (exponent, coefficient) Fraction pairs for a Hahn series."""
+        return self.field._view(self.q)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Scalar:
             return NotImplemented
-        return self.field == other.field and self.payload == other.payload
+        return self.field == other.field and self.q == other.q
 
     def __hash__(self) -> int:
-        return hash((self.field, self.payload))
+        return hash((self.field, self.q))
 
     def __repr__(self) -> str:
         return f"Scalar({self.field!r}, {self.payload!r})"
@@ -401,10 +518,10 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.field.is_zero(self.payload)
+        return self.field.is_zero(self.q)
 
     def valuation(self) -> NormValue:
-        return NormValue(self.field.valuation(self.payload))
+        return NormValue(self.field.valuation(self.q))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -416,17 +533,17 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         field = self._same_field(other)
-        return Scalar(field, field.add(self.payload, other.payload))
+        return Scalar(field, field.add(self.q, other.q))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.payload))
+        return Scalar(self.field, self.field.neg(self.q))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         field = self._same_field(other)
-        return Scalar(field, field.mul(self.payload, other.payload))
+        return Scalar(field, field.mul(self.q, other.q))
 
     def scaled(self, q: Rational) -> "Scalar":
         """Multiplication by a rational constant."""
@@ -437,7 +554,7 @@ class Scalar:
         field = self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(field, field.div(self.payload, other.payload))
+        return Scalar(field, field.div(self.q, other.q))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self.div(other)
@@ -457,7 +574,7 @@ class Scalar:
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
-        return self.field.to_text(self.payload)
+        return self.field.to_text(self.q)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -478,7 +595,7 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         num, den, p = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if p != field.p:
             raise ValueError(f"scalar {text!r} is written over p={p}, expected p={field.p}")
-        return Scalar(field, Fraction(num, den))
+        return field.from_rational(Fraction(num, den))
     if text == "0":
         return field.zero()
     terms = []

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +9,14 @@ from nadops.scalars import (
     HahnField,
     NormValue,
     PAdicField,
-    Scalar,
     _int_valuation,
     _is_prime,
-    _normalize_hahn,
+    _qadd,
+    _qdiv,
+    _qmul,
+    _qneg,
+    _qof,
+    _qtext,
     backend_from_name,
     format_valuation,
     parse_scalar,
@@ -31,6 +36,20 @@ def brute_factorial_valuation(m: int, p: int) -> int:
             total += 1
             k //= p
     return total
+
+
+# the Fraction summing that HahnField.from_terms and the general Hahn product
+# replaced, kept as their oracle
+def _normalize_hahn(terms):
+    acc = {}
+    for exponent, coeff in terms:
+        e, c = Fraction(exponent), Fraction(coeff)
+        c = acc.get(e, Fraction(0)) + c
+        if c == 0:
+            acc.pop(e, None)
+        else:
+            acc[e] = c
+    return tuple(sorted(acc.items()))
 
 
 # the one-factor-at-a-time loop that _int_valuation replaced, kept as its oracle
@@ -54,6 +73,64 @@ def hahn_scalars():
         st.builds(Fraction, st.integers(-8, 12), st.integers(1, 3)),
         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
     return st.lists(term, min_size=0, max_size=4).map(HAHN.from_terms)
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel on normalized int pairs, against Fraction
+
+
+BIG = st.integers(-2 ** 200, 2 ** 200)
+FRACTIONS = st.one_of(
+    st.builds(Fraction, BIG, BIG.filter(bool)),  # negative denominators normalize away
+    st.builds(Fraction, st.integers(-12, 12), st.integers(-6, 6).filter(bool)),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(x, y) with y often -x (a sum cancelling to zero), zero, or x shifted by
+    an integer (equal denominators, whose sum may still reduce)."""
+    x = draw(FRACTIONS)
+    y = draw(st.one_of(FRACTIONS, st.just(-x), st.just(x),
+                       st.builds(lambda k, sign: sign * x + k, BIG, st.sampled_from([1, -1]))))
+    return x, y
+
+
+def canonical(q):
+    n, d = q
+    return type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+
+
+@given(fraction_pairs())
+def test_rational_kernel_matches_fraction(pair):
+    x, y = pair
+    a, b = _qof(x), _qof(y)
+    assert a == (x.numerator, x.denominator)
+    results = [(_qadd(a, b), x + y), (_qadd(a, _qneg(b)), x - y), (_qmul(a, b), x * y),
+               (_qmul(b, a), y * x), (_qneg(a), -x)]
+    if y:
+        results.append((_qdiv(a, b), x / y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _qdiv(a, b)
+    for got, want in results:
+        assert canonical(got), got
+        assert got == (want.numerator, want.denominator)
+        assert _qtext(got) == str(want)
+
+
+def test_rational_kernel_edges():
+    assert _qof(5) == (5, 1) and _qof(-3) == (-3, 1) and _qof(0) == (0, 1)
+    assert _qof(Fraction(6, -4)) == (-3, 2)
+    assert _qadd((1, 2), (1, 2)) == (1, 1)        # equal denominators that reduce
+    assert _qadd((1, 6), (1, 6)) == (1, 3)
+    assert _qadd((3, 4), (-3, 4)) == (0, 1)       # cancellation gives the one zero
+    assert _qadd((1, 6), (1, 10)) == (4, 15)      # shared factor in the denominators
+    assert _qmul((0, 1), (-7, 3)) == (0, 1)
+    assert _qdiv((1, 2), (-3, 4)) == (-2, 3)      # the divisor's sign moves up
+    assert _qdiv((0, 1), (-5, 1)) == (0, 1)
+    assert [_qtext(q) for q in ((3, 1), (-4, 3), (0, 1))] == ["3", "-4/3", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +193,9 @@ def test_padic_valuation_matches_loop(p, num, den, k_num, k_den):
     # denominators divisible by p are part of the draw
     q = Fraction(num * p ** k_num, den * p ** k_den)
     want = loop_int_valuation(q.numerator, p) - loop_int_valuation(q.denominator, p)
-    assert PAdicField(p).valuation(q) == want
-    assert PAdicField(p).from_rational(q).valuation() == NormValue.of(want)
+    x = PAdicField(p).from_rational(q)
+    assert PAdicField(p).valuation(x.q) == want
+    assert x.valuation() == NormValue.of(want)
 
 
 def test_int_valuation_edges():
@@ -226,6 +304,16 @@ def test_hahn_monomial_product_matches_general_path(mono, other, mono_first):
     assert (a * b).payload == _normalize_hahn(terms)
 
 
+@given(st.lists(st.tuples(
+    st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-8, 12), st.integers(1, 6))),
+    st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))),
+    max_size=8))
+def test_hahn_from_terms_matches_normalize_oracle(terms):
+    # repeated exponents that cancel, ints beside Fractions, and fractional
+    # exponents whose order differs from the order of their int pairs
+    assert HAHN.from_terms(terms).payload == _normalize_hahn(terms)
+
+
 def test_hahn_valuation_examples():
     s = HAHN.from_terms([(Fraction(1, 2), 1), (Fraction(2), 1)])
     assert s.valuation() == NormValue.of(Fraction(1, 2))
@@ -290,27 +378,27 @@ def test_hahn_division_by_self_support(a):
 
 def old_add(a, b):
     if isinstance(a.payload, Fraction):
-        return Scalar(a.field, a.payload + b.payload)
-    return Scalar(a.field, _normalize_hahn(list(a.payload) + list(b.payload)))
+        return a.field.from_rational(a.payload + b.payload)
+    return a.field.from_terms(_normalize_hahn(list(a.payload) + list(b.payload)))
 
 
 def old_neg(a):
     if isinstance(a.payload, Fraction):
-        return Scalar(a.field, -a.payload)
-    return Scalar(a.field, tuple((e, -c) for e, c in a.payload))
+        return a.field.from_rational(-a.payload)
+    return a.field.from_terms(tuple((e, -c) for e, c in a.payload))
 
 
 def old_mul(a, b):
     if isinstance(a.payload, Fraction):
-        return Scalar(a.field, a.payload * b.payload)
+        return a.field.from_rational(a.payload * b.payload)
     terms = [(ea + eb, ca * cb) for ea, ca in a.payload for eb, cb in b.payload]
-    return Scalar(a.field, _normalize_hahn(terms))
+    return a.field.from_terms(_normalize_hahn(terms))
 
 
 def old_div(a, b, exponent_cutoff=64):
     """Term-by-term Hahn quotient search, bounded by an exponent cutoff."""
     if isinstance(a.payload, Fraction):
-        return Scalar(a.field, a.payload / b.payload)
+        return a.field.from_rational(a.payload / b.payload)
     remainder = dict(a.payload)
     lead_exp, lead_coeff = b.payload[0]
     quotient = []
@@ -331,12 +419,14 @@ def old_div(a, b, exponent_cutoff=64):
                 remainder.pop(key, None)
             else:
                 remainder[key] = value
-    return Scalar(a.field, tuple(quotient))
+    return a.field.from_terms(quotient)
 
 
 def old_valuation(a):
     if isinstance(a.payload, Fraction):
-        return NormValue(a.field.valuation(a.payload))
+        q, p = a.payload, a.field.p
+        return NormValue(None if q == 0 else Fraction(
+            loop_int_valuation(q.numerator, p) - loop_int_valuation(q.denominator, p)))
     return NormValue(a.payload[0][0] if a.payload else None)
 
 
@@ -366,7 +456,7 @@ def related_pairs(draw):
 
 
 def same(x, y):
-    """Equal, and with the payload written the same way (Fractions, not ints)."""
+    """Equal, and with the payload views written the same way (Fractions, not ints)."""
     return x == y and repr(x.payload) == repr(y.payload)
 
 
@@ -382,7 +472,7 @@ def test_field_arithmetic_matches_old_scalar_arithmetic(pair):
         assert x.is_zero == (old_valuation(x).is_infinite)
         assert x.valuation() == old_valuation(x)
         assert x.to_text() == old_text(x)
-        assert hash(x) == hash((x.field, x.payload))  # the frozen dataclass's hash
+        assert hash(x) == hash((x.field, x.q))
 
 
 @given(related_pairs(), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
@@ -404,6 +494,61 @@ def test_hahn_division_rejects_every_non_monomial():
         square.div(one_plus_t)
     with pytest.raises(ZeroDivisionError):
         square.div(HAHN.zero())
+
+
+# ---------------------------------------------------------------------------
+# value semantics and the payload view
+
+
+def test_scalar_equality_and_hash_follow_value():
+    for field in (P2, P3, HAHN):
+        pairs = [
+            (field.from_rational(Fraction(2, 4)), field.from_rational(Fraction(1, 2))),
+            (field.from_rational(Fraction(1, 6)) + field.from_rational(Fraction(1, 6)),
+             field.from_rational(Fraction(1, 3))),
+            (field.from_rational(7) - field.from_rational(7), field.zero()),
+            (field.from_rational(2).div(field.from_rational(-4)),
+             field.from_rational(Fraction(-1, 2))),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert len({x for pair in pairs[:2] for x in pair}) == 2
+    assert HAHN.from_terms([(Fraction(2, 4), 3), (1, 0)]) == HAHN.from_terms([(Fraction(1, 2), 3)])
+
+
+@given(related_pairs())
+def test_arithmetic_back_to_the_same_value_is_equal(pair):
+    a, b = pair
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+
+
+@given(padic_scalars(P3))
+def test_payload_view_roundtrips_padic(x):
+    assert P3.from_rational(x.payload) == x
+
+
+@given(hahn_scalars())
+def test_payload_view_roundtrips_hahn(x):
+    assert HAHN.from_terms(x.payload) == x
+
+
+@given(st.one_of(padic_scalars(P2), hahn_scalars()))
+def test_payload_layout_read_by_bench_tracing(x):
+    """bench/tracing.py's _payload_bits reads ``payload`` on every traced
+    valuation call: a Fraction, or sorted (Fraction, Fraction) pairs."""
+    payload = x.payload
+    if x.field == P2:
+        assert type(payload) is Fraction
+    else:
+        assert type(payload) is tuple
+        assert all(type(term) is tuple and len(term) == 2
+                   and all(type(v) is Fraction for v in term) for term in payload)
+        exponents = [e for e, _ in payload]
+        assert exponents == sorted(set(exponents))
+        assert all(c != 0 for _, c in payload)
+    with pytest.raises(AttributeError):
+        x.payload = payload
 
 
 # ---------------------------------------------------------------------------
