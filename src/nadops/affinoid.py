@@ -16,9 +16,10 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .scalars import Field, NormValue, Rational, Scalar, parse_scalar
 
@@ -181,12 +182,13 @@ class SparsePoly:
         self._check_compatible(other)
         terms = self.coeffs.items()
         return _combine(self.field, self.dim,
-                        [(terms, coeff, exponent) for exponent, coeff in other.coeffs.items()])
+                        [(terms, coeff.q, exponent) for exponent, coeff in other.coeffs.items()])
 
     def scale(self, value: Scalar | Rational) -> "SparsePoly":
         if not isinstance(value, Scalar):
             value = self.field.from_rational(value)
-        return _combine(self.field, self.dim, [(self.coeffs.items(), value, None)])
+        _check_field(self.field, value)
+        return _combine(self.field, self.dim, [(self.coeffs.items(), value.q, None)])
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
@@ -206,13 +208,14 @@ class SparsePoly:
         Exact in characteristic zero either way: the coefficients picked up
         are falling factorials, resp. binomials.
         """
+        field = self.field
+        weight, times = (mi_binomial if divided else mi_falling), field.times
         acc: dict[MultiIndex, Scalar] = {}
         for exponent, coeff in self.coeffs.items():
-            k = mi_binomial(exponent, order) if divided else mi_falling(exponent, order)
-            if k == 0:
-                continue
-            acc[mi_sub(exponent, order)] = coeff.scaled(k)
-        return SparsePoly(self.field, self.dim, acc)
+            k = weight(exponent, order)
+            if k:  # nonzero only when order <= exponent, so the gap cannot underflow
+                acc[tuple(map(operator.sub, exponent, order))] = Scalar(field, times(coeff.q, (k, 1)))
+        return SparsePoly(field, self.dim, acc)
 
     # -- norms ---------------------------------------------------------------
 
@@ -222,9 +225,7 @@ class SparsePoly:
         Multiplicative, because both backends have an integral (in fact
         field) residue ring.
         """
-        if not self.coeffs:
-            return NormValue.infinite()
-        return min(c.valuation() for c in self.coeffs.values())
+        return NormValue(self.field.min_valuation([c.q for c in self.coeffs.values()]))
 
     # -- substitution ----------------------------------------------------------
 
@@ -236,6 +237,8 @@ class SparsePoly:
         """
         if len(center) != self.dim or len(scales) != self.dim:
             raise ValueError("center/scale arity does not match dimension")
+        for value in (*center, *scales):
+            _check_field(self.field, value)
         out = self
         for i in range(self.dim):
             out = out._substitute_one(i, center[i], scales[i])
@@ -254,34 +257,39 @@ class SparsePoly:
         for k in range(max(layers), -1, -1):
             # Horner step: acc * (c + s y_i) + layer k
             terms = acc.coeffs.items()
-            parts = [(terms, s, unit), (layers.get(k, ()), None, None)]
+            parts = [(terms, s.q, unit), (layers.get(k, ()), None, None)]
             if not c.is_zero:
-                parts.append((terms, c, None))
+                parts.append((terms, c.q, None))
             acc = _combine(self.field, self.dim, parts)
         return acc
 
 
-_Part = tuple[Iterable[tuple[MultiIndex, Scalar]], Scalar | None, MultiIndex | None]
+def _check_field(field: Field, value: Scalar) -> None:
+    if value.field is not field and value.field != field:
+        raise ValueError(f"mixed-backend arithmetic: {field.name} vs {value.field.name}")
 
 
-def _combine(field: Field, dim: int, parts: Iterable[_Part]) -> SparsePoly:
-    """The polynomial sum of scalar * x^shift * terms over (terms, scalar, shift) parts.
+# (terms, factor, shift); the factor is a value in the field's internal form,
+# or with rational=True a normalized int pair
+_Part = tuple[Iterable[tuple[MultiIndex, Scalar]], object, MultiIndex | None]
+
+
+def _combine(field: Field, dim: int, parts: Iterable[_Part], rational: bool = False) -> SparsePoly:
+    """The polynomial sum of factor * x^shift * terms over (terms, factor, shift) parts.
 
     ``terms`` is any iterable of (exponent, coefficient) pairs over ``field``,
-    such as ``poly.coeffs.items()``; a None scalar stands for 1 and a None
-    shift for 0.  Every coefficient is summed into one dict of the field's
+    such as ``poly.coeffs.items()``; a None factor stands for 1 and a None
+    shift for 0.  A factor is a value in the field's internal form (a
+    Scalar's ``q``, whose field the caller has checked), or, when
+    ``rational`` is set, a normalized int pair applied through the field's
+    ``times``.  Every coefficient is summed into one dict of the field's
     internal values, and zeros are dropped once at the end, so a cancellation
     anywhere in the sum leaves no key behind.
     """
-    add, mul = field.add, field.mul
+    add, mul = field.add, (field.times if rational else field.mul)
     acc: dict = {}
     get = acc.get
-    for terms, scalar, shift in parts:
-        factor = None
-        if scalar is not None:
-            if scalar.field is not field and scalar.field != field:
-                raise ValueError(f"mixed-backend arithmetic: {field.name} vs {scalar.field.name}")
-            factor = scalar.q
+    for terms, factor, shift in parts:
         for exponent, coeff in terms:
             value = coeff.q if factor is None else mul(coeff.q, factor)
             if shift is not None:

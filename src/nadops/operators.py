@@ -12,6 +12,16 @@ at a stated order.  Everything here is exact:
   * the norm bracket sandwiches an operator norm between a monomial-image
     lower bound and a coefficientwise upper bound, both exact valuations.
 
+Every weight in these sums is an integer or a normalized int pair (n, d):
+C(alpha, gamma), a falling factorial, or C(alpha, beta) (-1)^|gap| / alpha!
+reduced by one gcd.  The sums go through affinoid's one summing kernel,
+which multiplies such a weight straight into each coefficient's internal
+value with the field's ``times`` (a Hahn series scales its coefficients
+only), so no Fraction, Scalar or SparsePoly is built for a single term.
+compose computes the derivative of each (beta, gamma) once and reuses it
+for every alpha; (x - c)^beta is the direct product of one binomial row
+per coordinate.
+
 Rapid decay of a coefficient family (a_alpha / pi^{r|alpha|} -> 0 for every
 natural r) can never be concluded from finitely many queries, so the
 classifier returns "decreasing-witnessed" only from a structured valuation
@@ -21,10 +31,13 @@ witness sequence; everything else is "inconclusive".
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Mapping
+from math import comb, gcd
 
 from .affinoid import (
     MultiIndex,
@@ -32,10 +45,11 @@ from .affinoid import (
     SparsePoly,
     HoledDisc,
     _combine,
-    mi_add,
     mi_binomial,
     mi_box,
     mi_factorial,
+    mi_falling,
+    mi_le,
     mi_sub,
     mi_total,
     mi_up_to_total,
@@ -109,7 +123,8 @@ class DiffOperator:
         if poly is None:
             return SparsePoly.zero(self.field, self.dim)
         if self.divided:
-            return poly.scale(Fraction(1, mi_factorial(alpha)))
+            return _combine(self.field, self.dim,
+                            [(poly.coeffs.items(), (1, mi_factorial(alpha)), None)], rational=True)
         return poly
 
     def to_plain(self) -> "DiffOperator":
@@ -131,11 +146,16 @@ def apply_operator(P: DiffOperator, f: SparsePoly) -> SparsePoly:
     """P(f), exactly.  d^alpha x^beta = (beta! / (beta-alpha)!) x^(beta-alpha)."""
     if f.field != P.field or f.dim != P.dim:
         raise ValueError("operator and argument use different backends or dimensions")
+    weight = mi_binomial if P.divided else mi_falling
+    times, sub = P.field.times, operator.sub
+    image = f.coeffs.items()
     parts = []
     for alpha, a in P.coeffs.items():
         terms = a.coeffs.items()
-        image = f.derivative(alpha, divided=P.divided)
-        parts += [(terms, coeff, exponent) for exponent, coeff in image.coeffs.items()]
+        for exponent, coeff in image:
+            k = weight(exponent, alpha)
+            if k:  # alpha <= exponent, so the gap cannot underflow
+                parts.append((terms, times(coeff.q, (k, 1)), tuple(map(sub, exponent, alpha))))
     return _combine(P.field, P.dim, parts)
 
 
@@ -150,20 +170,24 @@ def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
     if P.field != Q.field or P.dim != Q.dim:
         raise ValueError("cannot compose operators over different backends or dimensions")
     field = P.field
+    times = field.times
     divided = P.divided and Q.divided
     parts: dict[MultiIndex, list] = {}
+    # d^gamma(b) for each (beta, gamma), computed once and reused for every alpha
+    derivatives: dict[tuple[MultiIndex, MultiIndex], list] = {}
     Pp, Qp = P.to_plain(), Q.to_plain()
     for alpha, a in Pp.coeffs.items():
         terms = a.coeffs.items()
         for beta, b in Qp.coeffs.items():
             for gamma in mi_box(alpha):
-                index = mi_add(mi_sub(alpha, gamma), beta)
+                derivative = derivatives.get((beta, gamma))
+                if derivative is None:
+                    derivative = derivatives[beta, gamma] = list(b.derivative(gamma).coeffs.items())
+                index = tuple(x - y + z for x, y, z in zip(alpha, gamma, beta))
                 # a divided-power result stores alpha! times the plain coefficient
-                weight = field.from_rational(
-                    mi_binomial(alpha, gamma) * (mi_factorial(index) if divided else 1))
+                weight = (mi_binomial(alpha, gamma) * (mi_factorial(index) if divided else 1), 1)
                 parts.setdefault(index, []).extend(
-                    (terms, coeff * weight, exponent)
-                    for exponent, coeff in b.derivative(gamma).coeffs.items())
+                    (terms, times(coeff.q, weight), exponent) for exponent, coeff in derivative)
     acc = {index: _combine(field, P.dim, index_parts) for index, index_parts in parts.items()}
     return DiffOperator.make(field, P.dim, acc, P.order + Q.order, divided)
 
@@ -206,7 +230,9 @@ class EndoOracle:
 
     def apply_poly(self, f: SparsePoly) -> SparsePoly:
         """Extend the monomial table by linearity."""
-        return _combine(self.field, self.dim, [(self.query(exponent).coeffs.items(), coeff, None)
+        if f.field != self.field:
+            raise ValueError(f"mixed-backend arithmetic: {self.field.name} vs {f.field.name}")
+        return _combine(self.field, self.dim, [(self.query(exponent).coeffs.items(), coeff.q, None)
                                                 for exponent, coeff in f.coeffs.items()])
 
 
@@ -220,12 +246,16 @@ def symbol_coefficient(oracle: EndoOracle, alpha: MultiIndex) -> SparsePoly:
     alpha = tuple(alpha)
     if mi_total(alpha) > oracle.degree_cap:
         raise ValueError(f"symbol index {alpha} exceeds the oracle degree cap")
+    factorial = mi_factorial(alpha)
     parts = []
     for beta in mi_box(alpha):
-        gap = mi_sub(alpha, beta)
-        weight = Fraction(mi_binomial(alpha, beta) * (-1) ** mi_total(gap), mi_factorial(alpha))
-        parts.append((oracle.query(beta).coeffs.items(), oracle.field.from_rational(weight), gap))
-    return _combine(oracle.field, oracle.dim, parts)
+        gap = tuple(map(operator.sub, alpha, beta))  # beta <= alpha: no underflow
+        n = mi_binomial(alpha, beta)
+        if sum(gap) & 1:
+            n = -n
+        g = gcd(n, factorial)
+        parts.append((oracle.query(beta).coeffs.items(), (n // g, factorial // g), gap))
+    return _combine(oracle.field, oracle.dim, parts, rational=True)
 
 
 def total_symbol(oracle: EndoOracle, degree_cap: int) -> SparsePoly:
@@ -250,8 +280,6 @@ def combinatorial_delta(alpha: MultiIndex, gamma: MultiIndex) -> int:
     and to 0 otherwise.  Computed by summation, checked against the closed
     form (ArithmeticError on a mismatch), returned as an int.
     """
-    from .affinoid import mi_falling, mi_le
-
     if not mi_le(alpha, gamma):
         raise ValueError("requires alpha <= gamma componentwise")
     total = 0
@@ -286,13 +314,25 @@ def roundtrip_report(P: DiffOperator, operator_id: str = "operator") -> dict:
 
 def _shifted_monomial_basis(field: Field, dim: int, center: tuple[Scalar, ...],
                             beta: MultiIndex) -> SparsePoly:
-    """(x - c)^beta expanded exactly."""
-    out = SparsePoly.constant(field, dim, 1)
-    for i, power in enumerate(beta):
-        if power:
-            linear = SparsePoly.variable(field, dim, i) - SparsePoly.constant(field, dim, center[i])
-            out = out * linear ** power
-    return out
+    """(x - c)^beta expanded exactly, as the direct product over the coordinates
+    of the binomial rows (x_i - c_i)^b = sum_k C(b, k) (-c_i)^(b-k) x_i^k."""
+    mul, times, is_zero = field.mul, field.times, field.is_zero
+    rows = []
+    for c, b in zip(center, beta):
+        # (-c)^j for j <= b; for c = 0 only j = 0 is nonzero, and only x^b is kept
+        minus_c = field.neg(c.q)
+        powers = [field.one().q]
+        for _ in range(b):
+            powers.append(mul(powers[-1], minus_c))
+        rows.append([(k, times(powers[b - k], (comb(b, k), 1)))
+                     for k in range(b + 1) if not is_zero(powers[b - k])])
+    coeffs = {}
+    for row_terms in itertools.product(*rows):
+        value = row_terms[0][1]
+        for _, factor in row_terms[1:]:
+            value = mul(value, factor)
+        coeffs[tuple(k for k, _ in row_terms)] = Scalar(field, value)
+    return SparsePoly(field, dim, coeffs)
 
 
 def translation_invariance_check(oracle: EndoOracle, center: tuple[Scalar, ...],
@@ -307,15 +347,18 @@ def translation_invariance_check(oracle: EndoOracle, center: tuple[Scalar, ...],
         if c.valuation() < NormValue.of(0):
             raise ValueError("translation centers must be integral")
     field, d = oracle.field, oracle.dim
+    times = field.times
     lhs_parts, rhs_parts = [], []
     for beta in mi_box(alpha):
-        gap = mi_sub(alpha, beta)
-        weight = field.from_rational(mi_binomial(alpha, beta) * (-1) ** mi_total(gap))
+        gap = tuple(map(operator.sub, alpha, beta))  # beta <= alpha: no underflow
+        n = mi_binomial(alpha, beta)
+        weight = (-n if sum(gap) & 1 else n, 1)
         lhs_parts.append((oracle.query(beta).coeffs.items(), weight, gap))
         image = oracle.apply_poly(_shifted_monomial_basis(field, d, center, beta)).coeffs.items()
         tail = _shifted_monomial_basis(field, d, center, gap)
-        rhs_parts += [(image, coeff * weight, exponent) for exponent, coeff in tail.coeffs.items()]
-    return _combine(field, d, lhs_parts) == _combine(field, d, rhs_parts)
+        rhs_parts += [(image, times(coeff.q, weight), exponent)
+                      for exponent, coeff in tail.coeffs.items()]
+    return _combine(field, d, lhs_parts, rational=True) == _combine(field, d, rhs_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,17 @@ hashing follow value.  The two fields:
     (exponent pair, coefficient pair) terms sorted by exponent, with no zero
     coefficients.  The valuation is the smallest exponent in the support.
     Sums merge two sorted supports, comparing exponents by
-    cross-multiplication; a general product sorts once, keyed by the exact
-    Fraction of each exponent.  Division is exact only by a monomial,
+    cross-multiplication.  A general product writes every exponent as an
+    integer over the lcm L of both operands' exponent denominators, sums
+    and sorts those integers, and maps each key e back exactly as the pair
+    (e/g, L/g) with g = gcd(e, L).  Division is exact only by a monomial,
     because the inverse of any other series has infinite support.
+
+Besides add, mul, neg and div, each field has two kernels for callers that
+hold a rational weight or a whole polynomial's coefficients: ``times(q, r)``
+multiplies a value by a rational pair r (a Hahn series scales its
+coefficients only, with no exponent sums), and ``min_valuation(values)`` is
+the least valuation over many values, built as one Fraction at the end.
 
 The internal form lives in the Scalar's ``q`` slot.  ``Scalar.payload`` is
 a read-only view of it in the documented layout: a Fraction for a p-adic
@@ -41,7 +49,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -91,20 +99,23 @@ class NormValue:
             return NormValue(None)
         return NormValue(self.valuation + other.valuation)
 
-    def _key(self) -> tuple[int, Fraction]:
-        return (1, Fraction(0)) if self.valuation is None else (0, self.valuation)
-
     # > and >= come from Python's reflection of these two; against any other
     # type both sides decline and the comparison raises TypeError
     def __lt__(self, other: "NormValue") -> bool:
         if not isinstance(other, NormValue):
             return NotImplemented
-        return self._key() < other._key()
+        a, b = self.valuation, other.valuation
+        if a is None:
+            return False
+        return b is None or a < b
 
     def __le__(self, other: "NormValue") -> bool:
         if not isinstance(other, NormValue):
             return NotImplemented
-        return self._key() <= other._key()
+        a, b = self.valuation, other.valuation
+        if b is None:
+            return True
+        return a is not None and a <= b
 
     def __str__(self) -> str:
         return "inf" if self.valuation is None else str(self.valuation)
@@ -252,13 +263,13 @@ def _qtext(a: _Q) -> str:
     return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
 
 
-def _exponent_key(term: tuple[_Q, _Q]) -> Fraction:
-    return Fraction(*term[0])
-
-
 def _support(acc: dict[_Q, _Q]) -> HahnPayload:
-    """The sorted Hahn form of an {exponent: coefficient} map, zeros dropped."""
-    return tuple(sorted([term for term in acc.items() if term[1][0]], key=_exponent_key))
+    """The sorted Hahn form of an {exponent: coefficient} map, zeros dropped.
+
+    Exponents sort as integers over the lcm of their denominators."""
+    terms = [term for term in acc.items() if term[1][0]]
+    L = lcm(*[e[1] for e, _ in terms])
+    return tuple(sorted(terms, key=lambda term: term[0][0] * (L // term[0][1])))
 
 
 _ZERO = (0, 1)
@@ -299,6 +310,7 @@ class PAdicField:
     # arithmetic on the internal form: one normalized pair
     add = staticmethod(_qadd)
     mul = staticmethod(_qmul)
+    times = staticmethod(_qmul)
     neg = staticmethod(_qneg)
     div = staticmethod(_qdiv)
 
@@ -311,6 +323,19 @@ class PAdicField:
         if not n:
             return None
         return Fraction(_int_valuation(n, self.p) - _int_valuation(d, self.p))
+
+    def min_valuation(self, values: Iterable[_Q]) -> Fraction | None:
+        """The least valuation over the values; None when all are zero or there are none."""
+        p = self.p
+        best = None
+        for n, d in values:
+            if not n:
+                continue
+            # n and d are coprime, so p divides at most one of them
+            v = _int_valuation(n, p) if d % p else -_int_valuation(d, p)
+            if best is None or v < best:
+                best = v
+        return None if best is None else Fraction(best)
 
     def to_text(self, q: _Q) -> str:
         return f"{q[0]}/{q[1]}@{self.p}"
@@ -353,7 +378,11 @@ class HahnField:
     """Finite-support Hahn series over Q with rational exponents.
 
     The residue field is Q itself (characteristic zero), so factorials are
-    units and the factorial valuation is identically zero.
+    units and the factorial valuation is identically zero.  A product of two
+    series that are not monomials is keyed by integers: each exponent n/d
+    becomes n * (L/d) over the lcm L of both operands' exponent denominators,
+    and each summed key e maps back exactly to the exponent (e/g, L/g) with
+    g = gcd(e, L).
     """
 
     @property
@@ -423,13 +452,33 @@ class HahnField:
             # a monomial shifts and scales: the result stays sorted and nonzero
             (e, c), = a
             return tuple((_qadd(e, eb), _qmul(c, cb)) for eb, cb in b)
-        acc: dict[_Q, _Q] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = _qadd(ea, eb)
-                prev = acc.get(e)
-                acc[e] = _qmul(ca, cb) if prev is None else _qadd(prev, _qmul(ca, cb))
-        return _support(acc)
+        if not a or not b:
+            return ()
+        # integer keys over the common denominator L (class docstring)
+        L = lcm(*[e[1] for e, _ in a], *[e[1] for e, _ in b])
+        keyed_b = [(n * (L // d), cb) for (n, d), cb in b]
+        acc: dict[int, _Q] = {}
+        get = acc.get
+        for (n, d), ca in a:
+            ka = n * (L // d)
+            for kb, cb in keyed_b:
+                k = ka + kb
+                prev = get(k)
+                acc[k] = _qmul(ca, cb) if prev is None else _qadd(prev, _qmul(ca, cb))
+        out = []
+        for k in sorted(acc):
+            c = acc[k]
+            if c[0]:
+                g = gcd(k, L)
+                out.append(((k // g, L // g), c))
+        return tuple(out)
+
+    @staticmethod
+    def times(a: HahnPayload, r: _Q) -> HahnPayload:
+        """a times the rational r: the coefficients scale, the exponents stay."""
+        if not r[0]:
+            return ()
+        return tuple((e, _qmul(c, r)) for e, c in a)
 
     @staticmethod
     def neg(a: HahnPayload) -> HahnPayload:
@@ -449,6 +498,19 @@ class HahnField:
         if not q:
             return None
         return Fraction(*q[0][0])  # support is sorted, valuation is the least exponent
+
+    @staticmethod
+    def min_valuation(values: Iterable[HahnPayload]) -> Fraction | None:
+        """The least valuation over the values; None when all are zero or there are none."""
+        best = None
+        for q in values:
+            if not q:
+                continue
+            e = q[0][0]
+            # e < best, as denominators are positive
+            if best is None or e[0] * best[1] < best[0] * e[1]:
+                best = e
+        return None if best is None else Fraction(*best)
 
     @staticmethod
     def to_text(q: HahnPayload) -> str:
@@ -547,7 +609,7 @@ class Scalar:
 
     def scaled(self, q: Rational) -> "Scalar":
         """Multiplication by a rational constant."""
-        return self * self.field.from_rational(q)
+        return Scalar(self.field, self.field.times(self.q, _qof(q)))
 
     def div(self, other: "Scalar") -> "Scalar":
         """Exact division; a Hahn divisor must be a monomial (HahnDivisionError)."""

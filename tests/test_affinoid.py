@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,11 @@ from nadops.affinoid import (
     sup_norm,
     unit_polydisc,
 )
+from nadops.operators import random_poly
 from nadops.scalars import HahnField, NormValue, PAdicField, Scalar
 
 P2 = PAdicField(2)
+P3 = PAdicField(3)
 P5 = PAdicField(5)
 HAHN = HahnField()
 
@@ -125,6 +128,38 @@ def test_derivative_examples():
     assert f.derivative((6,)).is_zero
     g = SparsePoly.monomial(P2, 2, (2, 1))
     assert g.derivative((1, 1)) == SparsePoly.monomial(P2, 2, (1, 0), 2)
+
+
+# the derivative before the weight kernel: each coefficient scaled as a
+# product with its falling factorial or binomial built as a scalar
+def old_derivative(f, order, divided=False):
+    acc = {}
+    for exponent, coeff in f.coeffs.items():
+        k = mi_binomial(exponent, order) if divided else mi_falling(exponent, order)
+        if k == 0:
+            continue
+        acc[mi_sub(exponent, order)] = coeff * f.field.from_rational(k)
+    return SparsePoly(f.field, f.dim, acc)
+
+
+# seeded polynomials: p-adic coefficients carry powers of p in numerator and
+# denominator, Hahn ones up to three terms with fractional exponents
+SEEDED_POLYS = st.builds(
+    lambda seed, field, dim: random_poly(random.Random(seed), field, dim, 4, max_terms=6),
+    st.integers(0, 10_000), st.sampled_from([P2, P3, HAHN]), st.integers(1, 3))
+
+
+@given(SEEDED_POLYS, st.lists(st.integers(0, 3), min_size=3, max_size=3), st.booleans())
+def test_derivative_matches_old_scaled_loop(f, order, divided):
+    order = tuple(order[:f.dim])
+    assert f.derivative(order, divided) == old_derivative(f, order, divided)
+
+
+@given(SEEDED_POLYS)
+def test_gauss_valuation_matches_per_coefficient_min(f):
+    want = min((c.valuation() for c in f.coeffs.values()), default=NormValue.infinite())
+    assert f.gauss_valuation() == want
+    assert SparsePoly.zero(f.field, f.dim).gauss_valuation().is_infinite
 
 
 def test_evaluate_horner_example():

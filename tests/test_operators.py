@@ -36,6 +36,8 @@ from nadops.operators import (
     random_operator,
     random_poly,
     roundtrip_report,
+    _shifted_monomial_basis,
+    random_scalar,
     symbol_coefficient,
     total_symbol,
     translation_invariance_check,
@@ -182,20 +184,30 @@ def old_symbol_coefficient(oracle, alpha):
     return acc.scale(Fraction(1, mi_factorial(alpha)))
 
 
-@given(st.integers(0, 10_000))
+def normalized(P, divided):
+    """P's stored coefficients under the given normalization."""
+    return DiffOperator.make(P.field, P.dim, P.coeffs, P.order, divided)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.booleans(), st.booleans())
 @settings(max_examples=30)
-def test_operator_sums_match_old_loops(seed):
+def test_operator_sums_match_old_loops(seed, dim, p_divided, q_divided):
     rng = random.Random(seed)
-    field = rng.choice([P2, HAHN])
-    P = random_operator(rng, field, 2, 2, 2)
-    Q = random_operator(rng, field, 2, 2, 2)
-    f = random_poly(rng, field, 2, 3)
+    field = rng.choice([P2, P3, HAHN])
+    P = normalized(random_operator(rng, field, dim, 2, 2), p_divided)
+    Q = normalized(random_operator(rng, field, dim, 2, 2), q_divided)
+    f = random_poly(rng, field, dim, 3)
     assert apply_operator(P, f) == old_apply_operator(P, f)
+    assert apply_operator(Q, f) == old_apply_operator(Q, f)
     C, old = compose(P, Q), old_compose(P, Q)
-    assert C.divided == old.divided and C.coeffs == old.coeffs
+    assert C.divided == old.divided == (p_divided and q_divided)
+    assert C.coeffs == old.coeffs
     oracle = EndoOracle.from_operator(C)
-    for alpha in mi_up_to_total(2, C.order):
+    for alpha in mi_up_to_total(dim, C.order):
         assert symbol_coefficient(oracle, alpha) == old_symbol_coefficient(oracle, alpha)
+    for alpha in P.coeffs:
+        assert P.plain_coefficient(alpha) == P.coeffs[alpha].scale(
+            Fraction(1, mi_factorial(alpha)) if p_divided else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +283,37 @@ def test_translation_invariance_example():
     assert translation_invariance_check(oracle, (P2.one(),), (1,))
     with pytest.raises(ValueError):
         translation_invariance_check(oracle, (P2.from_rational(Fraction(1, 2)),), (1,))
+
+
+# (x - c)^beta as a chain of SparsePoly differences, powers and products,
+# the expansion that the binomial rows replaced, kept as their oracle
+def pow_chain_basis(field, dim, center, beta):
+    out = SparsePoly.constant(field, dim, 1)
+    for i, power in enumerate(beta):
+        if power:
+            linear = SparsePoly.variable(field, dim, i) - SparsePoly.constant(field, dim, center[i])
+            out = out * linear ** power
+    return out
+
+
+@given(st.integers(0, 10_000), st.sampled_from([P2, P3, HAHN]),
+       st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=3))
+def test_shifted_monomial_basis_matches_pow_chain(seed, field, coordinates):
+    rng = random.Random(seed)
+    dim = len(coordinates)
+    beta = tuple(b for b, _ in coordinates)
+    center = tuple(field.zero() if zero else random_scalar(rng, field) for _, zero in coordinates)
+    assert _shifted_monomial_basis(field, dim, center, beta) == \
+        pow_chain_basis(field, dim, center, beta)
+
+
+def test_shifted_monomial_basis_example():
+    # (x - 3)^2 = x^2 - 6x + 9, and the zero centre gives the plain monomial
+    x = x_var(P3)
+    assert _shifted_monomial_basis(P3, 1, (P3.from_rational(3),), (2,)) == \
+        x ** 2 - x.scale(6) + const(9, P3)
+    assert _shifted_monomial_basis(P3, 2, (P3.zero(), P3.one()), (3, 0)) == \
+        SparsePoly.monomial(P3, 2, (3, 0))
 
 
 def test_translation_invariance_fuzz():

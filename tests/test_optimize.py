@@ -4,7 +4,9 @@
 stops running.  The AST walk keeps asserts out of every module of the
 package, and the subprocess runs show that the counterexample reports and
 the suite come out the same with and without ``-O``, and that the bytes of
-the suite and of the pinned reports below have not moved.
+the suite and of the pinned reports below have not moved.  The operator-file
+reports run on the fixed 2-variable operators in ``OPERATOR_FILES``, written
+into the working directory of the run, so the path they echo is fixed too.
 """
 
 import ast
@@ -21,9 +23,60 @@ import nadops
 PACKAGE = Path(nadops.__file__).parent
 MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py"))
 
+# fixed 2-variable operators, one per backend: divided and plain
+# normalizations, denominators divisible by p, and Hahn coefficients with
+# several terms over different exponent denominators
+OPERATOR_FILES = {
+    "p2.op": """\
+dim: 2
+backend: p=2
+normalization: divided
+order: 3
+0,0 : (3/1@2) * x1^1 x2^0 + (1/4@2) * x1^0 x2^2
+1,0 : (1/1@2) * x1^1 x2^1 + (-7/1@2) * x1^0 x2^0
+0,2 : (-5/3@2) * x1^2 x2^0 + (2/1@2) * x1^0 x2^0
+2,1 : (8/1@2) * x1^0 x2^1 + (1/2@2) * x1^3 x2^0
+""",
+    "p3.op": """\
+dim: 2
+backend: p=3
+normalization: plain
+order: 3
+0,1 : (2/9@3) * x1^2 x2^0 + (1/1@3) * x1^0 x2^1
+1,1 : (-4/1@3) * x1^1 x2^0 + (5/3@3) * x1^1 x2^2
+2,0 : (3/1@3) * x1^0 x2^2
+0,3 : (1/1@3) * x1^0 x2^0
+""",
+    "hahn.op": """\
+dim: 2
+backend: hahn
+normalization: divided
+order: 3
+0,0 : (1*t^(0) + 2*t^(1/2)) * x1^1 x2^0
+1,1 : (-3/2*t^(1/3)) * x1^0 x2^1 + (1*t^(-1/2)) * x1^2 x2^0
+2,0 : (1*t^(2)) * x1^0 x2^0 + (1/3*t^(1/4) + -2*t^(5/6)) * x1^1 x2^1
+0,3 : (5*t^(1/6) + -1*t^(1)) * x1^1 x2^1
+""",
+}
+
+# operator-file reports: the symbol table, the norms on a polydisc with a
+# nonzero centre and two radii, and the decay on the radius-|pi|^2 subdisc
+OPERATOR_ARGVS = [
+    argv
+    for backend, path, domain in [
+        ("p=2", "p2.op", '{"type":"polydisc","center":["1/1@2","3/1@2"],"radii":["1","2"]}'),
+        ("p=3", "p3.op", '{"type":"polydisc","center":["2/1@3","0/1@3"],"radii":["2","1"]}'),
+        ("hahn", "hahn.op", '{"type":"polydisc","center":["1*t^(0)","0"],"radii":["1/2","3/2"]}'),
+    ]
+    for argv in (["symbol", "--backend", backend, "--operator", path],
+                 ["norms", "--backend", backend, "--operator", path, "--domain", domain],
+                 ["decay", "--backend", backend, "--operator", path, "--n", "2"])
+]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
-# roundtrip example, a p-adic roundtrip and a csv suite; together they print
-# rationals and Hahn exponents of every shape the reports use
+# roundtrip example, a p-adic roundtrip, a csv suite and the operator-file
+# reports; together they print rationals and Hahn exponents of every shape
+# the reports use
 PINNED_SHA256 = {
     ("suite", "--seed", "123"):
         "6a6fed363ac541b6a43041e12303d5205fc5b35b60a8d9595d1f298d6a548899",
@@ -33,6 +86,24 @@ PINNED_SHA256 = {
         "de2cda67c351ec570ece8ad969b5431bad96c82b99f7fcb4ecfbc369fb077c32",
     ("suite", "--seed", "5", "--format", "csv"):
         "55f4665d4525d7fb81b9a70a95a0cd6212d93dc91f76a86478beaa66d560531f",
+    tuple(OPERATOR_ARGVS[0]):
+        "65a17817f3b378e43aaed66825df1995323bb142d3b1b6f12ad7104fb739e84f",
+    tuple(OPERATOR_ARGVS[1]):
+        "658b157864bfcb2f736faf854b40a6325e857c5d1b5414dd629545dd72dfc46c",
+    tuple(OPERATOR_ARGVS[2]):
+        "50030fee60db0eead3f03d57d120dd2cf69569e20913a1fcbc691c249d353595",
+    tuple(OPERATOR_ARGVS[3]):
+        "ea520f1c9a8444bcea2f2ebabcd04273a62f17bf96047a091fd49cb2f6ae504c",
+    tuple(OPERATOR_ARGVS[4]):
+        "97978babc38070743f8aefeef59f0c319c2ca86660e00cb9539d95b6757ed0fc",
+    tuple(OPERATOR_ARGVS[5]):
+        "10a0e0e442b7642f0a0b8bc0ac405feb2dda461631d2a336af4ff6b2cf821937",
+    tuple(OPERATOR_ARGVS[6]):
+        "2ba181498c9a8002713b46fe7c57dfe926682c24bb8040c18d8f08a4324f2ded",
+    tuple(OPERATOR_ARGVS[7]):
+        "c5830abb5c5015c7cb607b978530fd5b2aa6c4f654f3276b697e60c561471300",
+    tuple(OPERATOR_ARGVS[8]):
+        "2d48e186730f0a1777e501611b7522c4cebbd280eac52ece607247ea0c0baae6",
 }
 
 
@@ -61,13 +132,16 @@ def test_no_assert_statements(name):
     ["roundtrip", "--backend", "hahn", "--count", "25", "--d", "2", "--seed", "7"],
     ["roundtrip", "--backend", "p=2", "--count", "25", "--d", "2", "--seed", "7"],
     ["suite", "--seed", "5", "--format", "csv"],
+    *OPERATOR_ARGVS,
 ])
-def test_counterexample_report_is_the_same_under_optimize(argv):
+def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
+    for name, text in OPERATOR_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PACKAGE.parent)
     env.pop("PYTHONOPTIMIZE", None)
     runs = [subprocess.run([sys.executable, *flags, "-m", "nadops.cli", *argv],
-                           capture_output=True, env=env, timeout=60)
+                           capture_output=True, env=env, timeout=60, cwd=tmp_path)
             for flags in ([], ["-O"])]
     plain, optimized = runs
     assert plain.returncode == 0, plain.stderr

@@ -154,6 +154,28 @@ def test_norm_value_refuses_to_order_against_other_types(other):
             compare()
 
 
+# the tuple key that NormValue's ordering compared before it read the
+# valuations directly, kept as its oracle
+def old_norm_key(x):
+    return (1, Fraction(0)) if x.valuation is None else (0, x.valuation)
+
+
+NORM_VALUES = st.one_of(
+    st.just(NormValue.infinite()),
+    st.sampled_from([-1, 0, Fraction(1, 2)]).map(NormValue.of),  # ties are likely
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).map(NormValue.of))
+
+
+@given(NORM_VALUES, NORM_VALUES)
+def test_norm_value_order_matches_old_key(a, b):
+    ka, kb = old_norm_key(a), old_norm_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert old_norm_key(min(a, b)) == min(ka, kb)
+
+
 def test_norm_value_addition_and_scaling():
     assert NormValue.of(2) + NormValue.of(Fraction(1, 3)) == NormValue.of(Fraction(7, 3))
     assert NormValue.infinite() + NormValue.of(-5) == NormValue.infinite()
@@ -312,6 +334,45 @@ def test_hahn_from_terms_matches_normalize_oracle(terms):
     # repeated exponents that cancel, ints beside Fractions, and fractional
     # exponents whose order differs from the order of their int pairs
     assert HAHN.from_terms(terms).payload == _normalize_hahn(terms)
+
+
+# the general product that the integer-keyed one replaced: a dict keyed by
+# exponent pairs, sorted once by the exact Fraction of each exponent
+def fraction_keyed_mul(a, b):
+    acc = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            e = _qadd(ea, eb)
+            prev = acc.get(e)
+            acc[e] = _qmul(ca, cb) if prev is None else _qadd(prev, _qmul(ca, cb))
+    return tuple(sorted([term for term in acc.items() if term[1][0]],
+                        key=lambda term: Fraction(*term[0])))
+
+
+# exponents over many different denominators, so that the lcm of an
+# operand pair differs from either operand's largest denominator
+WIDE_HAHN_TERMS = st.tuples(
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 35])),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+
+@given(st.lists(WIDE_HAHN_TERMS, min_size=2, max_size=5),
+       st.lists(WIDE_HAHN_TERMS, min_size=2, max_size=5))
+def test_hahn_general_product_matches_fraction_keyed_product(terms_a, terms_b):
+    a, b = HAHN.from_terms(terms_a), HAHN.from_terms(terms_b)
+    want = fraction_keyed_mul(a.q, b.q)
+    assert HAHN.mul(a.q, b.q) == want and HAHN.mul(b.q, a.q) == want
+    product = [(ea + eb, ca * cb) for ea, ca in a.payload for eb, cb in b.payload]
+    assert (a * b).payload == _normalize_hahn(product)
+
+
+def test_hahn_general_product_keys_over_the_lcm():
+    # denominators 2 and 3: the common denominator is 6, not the larger 3
+    a = HAHN.from_terms([(Fraction(1, 2), 1), (1, 1)])
+    b = HAHN.from_terms([(Fraction(1, 3), 1), (Fraction(-2, 3), 2)])
+    assert (a * b).payload == ((Fraction(-1, 6), 2), (Fraction(1, 3), 2),
+                               (Fraction(5, 6), 1), (Fraction(4, 3), 1))
+    assert (a * HAHN.zero()).is_zero and (HAHN.zero() * a).is_zero
 
 
 def test_hahn_valuation_examples():
@@ -494,6 +555,42 @@ def test_hahn_division_rejects_every_non_monomial():
         square.div(one_plus_t)
     with pytest.raises(ZeroDivisionError):
         square.div(HAHN.zero())
+
+
+# ---------------------------------------------------------------------------
+# the weight and valuation kernels, against the Scalar routines they replaced
+
+
+def scalars_of(field):
+    return hahn_scalars() if field == HAHN else padic_scalars(field)
+
+
+FIELDS = st.sampled_from([P2, P3, HAHN])
+
+
+@given(FIELDS.flatmap(lambda field: scalars_of(field)), FRACTIONS)
+def test_times_matches_product_with_a_constant(x, r):
+    # the old Scalar.scaled: a product with the constant built as a scalar
+    want = x * x.field.from_rational(r)
+    assert x.field.times(x.q, _qof(r)) == want.q
+    assert same(x.scaled(r), want)
+
+
+@given(FIELDS.flatmap(lambda field: st.lists(scalars_of(field), max_size=6)))
+def test_min_valuation_matches_per_value_min(values):
+    # p-adic draws put powers of p in the denominators; lists may hold zeros
+    field = values[0].field if values else P2
+    want = min((x.valuation() for x in values), default=NormValue.infinite())
+    assert NormValue(field.min_valuation([x.q for x in values])) == want
+
+
+def test_min_valuation_reads_denominators():
+    values = [P2.from_rational(Fraction(3, 8)).q, P2.from_rational(12).q]
+    assert P2.min_valuation(values) == -3
+    assert P3.min_valuation([P3.from_rational(Fraction(2, 9)).q]) == -2
+    assert HAHN.min_valuation([HAHN.from_terms([(Fraction(1, 2), 1)]).q,
+                               HAHN.from_terms([(Fraction(1, 3), 5), (4, 1)]).q]) == Fraction(1, 3)
+    assert P2.min_valuation([]) is None and HAHN.min_valuation([()]) is None
 
 
 # ---------------------------------------------------------------------------
