@@ -75,12 +75,18 @@ def mi_box(a: MultiIndex) -> Iterator[MultiIndex]:
     return itertools.product(*(range(x + 1) for x in a))
 
 def mi_with_total(dim: int, total: int) -> Iterator[MultiIndex]:
+    """All indices with |a| = total in lexicographic order, by stars and bars."""
     if dim == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for tail in mi_with_total(dim - 1, total - head):
-            yield (head,) + tail
+    slots = total + dim - 1
+    for bars in itertools.combinations(range(slots), dim - 1):
+        index, previous = [], -1
+        for bar in bars:
+            index.append(bar - previous - 1)
+            previous = bar
+        index.append(slots - previous - 1)
+        yield tuple(index)
 
 def mi_up_to_total(dim: int, cap: int) -> Iterator[MultiIndex]:
     """All indices with |a| <= cap, in graded order."""

@@ -165,7 +165,11 @@ def _cmd_norms(args) -> tuple[dict, list[dict]]:
     field = backend_from_name(args.backend)
     P = _load_operator(args.operator, field)
     if args.domain:
-        domain = domain_from_json(json.loads(args.domain), field)
+        try:
+            descriptor = json.loads(args.domain)
+        except RecursionError:
+            raise ValueError("the domain descriptor nests too deeply") from None
+        domain = domain_from_json(descriptor, field)
     else:
         domain = unit_polydisc(field, P.dim)
     rows = []
@@ -248,8 +252,7 @@ def _cmd_symbol(args) -> tuple[dict, list[dict]]:
 def _cmd_decay(args) -> tuple[dict, list[dict]]:
     field = backend_from_name(args.backend)
     P = _load_operator(args.operator, field)
-    inner = coefficient_decay_report(P, args.n, args.degree_cap,
-                                     operator_id=args.operator)
+    inner = coefficient_decay_report(P, args.n, operator_id=args.operator)
     report = {
         "command": "decay",
         "backend": field.name,
@@ -410,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--n", type=_natural(0), default=1, help="subdisc radius exponent")
-    p.add_argument("--degree-cap", type=_natural(0), default=None)
     p.set_defaults(handler=_cmd_decay)
 
     p = sub.add_parser("suite", help="the full desk-scale verification sweep")

@@ -130,7 +130,7 @@ def _calkin_wilf(count: int) -> list[Fraction]:
     return out
 
 
-def rational_scheme(field: HahnField, precompute: int = 256) -> CosetRepScheme:
+def rational_scheme(field: HahnField) -> CosetRepScheme:
     """An enumeration of ALL rational residues: 0, 1, -1, 1/2, -1/2, 2, ...
 
     With this scheme every integral constant center matches some
@@ -139,7 +139,7 @@ def rational_scheme(field: HahnField, precompute: int = 256) -> CosetRepScheme:
     """
     if not isinstance(field, HahnField):
         raise TypeError("rational scheme needs the Hahn backend")
-    positives = _calkin_wilf(precompute)
+    positives = _calkin_wilf(256)  # rep doubles the table on demand
 
     def rep(i: int) -> Fraction:
         if i == 0:
@@ -368,8 +368,7 @@ def _min_with_radius(gap: NormValue, radius_valuation: Fraction) -> Fraction:
 
 
 def verify_claim1_disc(family: RepProductFamily, center: Scalar,
-                       radius_valuation: Fraction, alpha_max: int,
-                       classify_index_cap: int = 8) -> dict:
+                       radius_valuation: Fraction, alpha_max: int) -> dict:
     """Per-alpha subdisc bound, plus decay evidence for the restricted family.
 
     For each alpha the exact sup-norm valuation of member(alpha) over the
@@ -419,7 +418,7 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
             lambda a: family._degree_and_gauss(a[0], center, radius_valuation)[1],
             bound=DecayBound(quad=quad, shift=gamma))
         verdict = classify_rapid_decay(witness, r_max=3,
-                                       index_cap=min(alpha_max, classify_index_cap))
+                                       index_cap=min(alpha_max, 8))
         conclusion_pass = verdict == DECREASING_WITNESSED
 
     report_pass = all_rows_pass and conclusion_pass

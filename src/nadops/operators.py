@@ -10,7 +10,9 @@ at a stated order.  Everything here is exact:
     endomorphism from its values on monomials, and roundtrip_report checks
     that recovery is exact on a concrete operator;
   * the norm bracket sandwiches an operator norm between a monomial-image
-    lower bound and a coefficientwise upper bound, both exact valuations.
+    lower bound and a coefficientwise upper bound, both exact valuations;
+  * the decay report reads one sup valuation per coefficient on a small
+    subdisc, and takes the upper bracket there from those same valuations.
 
 Every weight in these sums is an integer or a normalized int pair (n, d):
 C(alpha, gamma), a falling factorial, or C(alpha, beta) (-1)^|gap| / alpha!
@@ -63,14 +65,6 @@ from .scalars import Field, NormValue, PAdicField, Rational, Scalar, backend_fro
 DECREASING_WITNESSED = "decreasing-witnessed"
 NON_DECREASING_WITNESSED = "non-decreasing-witnessed"
 INCONCLUSIVE = "inconclusive"
-
-
-def field_factorial_valuation(field: Field, alpha: MultiIndex) -> Fraction:
-    """v(alpha!) = sum of the coordinate factorial valuations."""
-    total = Fraction(0)
-    for a in alpha:
-        total += field.factorial_valuation(a)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +381,14 @@ def _conjugate_to_unit_disc(P: DiffOperator, domain: Polydisc) -> DiffOperator:
     Monomials y^delta have sup norm exactly 1 afterwards, which is what
     makes the monomial-image lower bound honest.
     """
-    field = P.field
-    scales = tuple(field.element_of_valuation(r) for r in domain.radius_valuations)
+    field, radii = P.field, domain.radius_valuations
+    scales = tuple(field.element_of_valuation(r) for r in radii)
     coeffs: dict[MultiIndex, SparsePoly] = {}
     for alpha in P.coeffs:
-        a = P.plain_coefficient(alpha)
-        moved = a.substitute_affine(domain.center, scales)
-        for i, power in enumerate(alpha):
-            if power:
-                moved = moved.scale(scales[i] ** (-power))
-        coeffs[alpha] = moved
+        moved = P.plain_coefficient(alpha).substitute_affine(domain.center, scales)
+        # each scale is p^r or t^r, so sigma^-alpha is the element of valuation -shift
+        shift = sum(power * r for power, r in zip(alpha, radii))
+        coeffs[alpha] = moved.scale(field.element_of_valuation(-shift))
     return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False)
 
 
@@ -423,16 +415,14 @@ def operator_norm_bracket(P: DiffOperator, domain: Polydisc,
         lower_val = min(lower_val, image.gauss_valuation())
     upper_val = NormValue.infinite()
     for alpha, b in conj.coeffs.items():
-        v = b.gauss_valuation() + NormValue.of(field_factorial_valuation(P.field, alpha))
+        v = b.gauss_valuation() + NormValue.of(sum(map(P.field.factorial_valuation, alpha)))
         upper_val = min(upper_val, v)
     if not upper_val <= lower_val:
         raise ArithmeticError("norm bracket inverted")
     return NormValue(lower_val.valuation), NormValue(upper_val.valuation)
 
 
-def coefficient_decay_report(P: DiffOperator, n: int,
-                             degree_cap: int | None = None,
-                             operator_id: str = "operator") -> dict:
+def coefficient_decay_report(P: DiffOperator, n: int, operator_id: str = "operator") -> dict:
     """Check the coefficient decay forced by boundedness on a small subdisc.
 
     On the subdisc X_n of radius |pi|^n about the origin, the plain
@@ -440,7 +430,10 @@ def coefficient_decay_report(P: DiffOperator, n: int,
 
         v(a_alpha restricted to X_n) >= W + n |alpha| v(pi) - v(alpha!)
 
-    where W is the (upper-bracket) operator norm valuation on X_n.  The
+    where W is the upper bracket operator_norm_bracket(P, X_n) returns.  It
+    comes from the same sup valuations: conjugated to the unit polydisc, the
+    coefficient at alpha has Gauss valuation sup(a_alpha on X_n) - n |alpha|
+    v(pi), so W is the least sup - n |alpha| v(pi) + v(alpha!).  The
     restriction on the left is what the origin-centered estimate controls;
     the plain Gauss valuation of a_alpha is also reported (gauss_margin) and
     coincides for coefficients whose sup is attained at the center.
@@ -449,17 +442,18 @@ def coefficient_decay_report(P: DiffOperator, n: int,
         raise ValueError("subdisc exponent must be a natural number")
     field, d = P.field, P.dim
     vpi = field.pi_valuation
-    radii = tuple(Fraction(n) * vpi for _ in range(d))
-    dom = Polydisc(tuple(field.zero() for _ in range(d)), radii)
-    _, upper = operator_norm_bracket(P, dom, degree_cap)
-    checks = []
-    all_pass = True
+    dom = Polydisc(tuple(field.zero() for _ in range(d)), (Fraction(n) * vpi,) * d)
+    coefficients = []
     for alpha in sorted(P.coeffs):
         a = P.plain_coefficient(alpha)
-        lhs = sup_norm(a, dom)
-        lhs_gauss = a.gauss_valuation()
-        rhs = upper + NormValue.of(n * mi_total(alpha) * vpi) \
-            + NormValue.of(-field_factorial_valuation(field, alpha))
+        shift = n * mi_total(alpha) * vpi - sum(map(field.factorial_valuation, alpha))  # rhs - W
+        coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation(), shift))
+    upper = min((lhs + NormValue.of(-shift) for _, lhs, _, shift in coefficients),
+                default=NormValue.infinite())
+    checks = []
+    all_pass = True
+    for alpha, lhs, lhs_gauss, shift in coefficients:
+        rhs = upper + NormValue.of(shift)
         ok = lhs >= rhs
         all_pass = all_pass and ok
         margin = NormValue(None) if (lhs.is_infinite or rhs.is_infinite) \

@@ -83,6 +83,22 @@ def test_mi_with_total_counts():
         assert len(list(mi_with_total(d, t))) == math.comb(t + d - 1, d - 1)
 
 
+def recursive_mi_with_total(dim, total):
+    """The recursive enumeration mi_with_total replaced: the order oracle."""
+    if dim == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_mi_with_total(dim - 1, total - head):
+            yield (head,) + tail
+
+
+def test_mi_with_total_matches_recursive_order():
+    for d in range(1, 6):
+        for t in range(9):
+            assert list(mi_with_total(d, t)) == list(recursive_mi_with_total(d, t)), (d, t)
+
+
 def test_mi_sub_underflow():
     with pytest.raises(ValueError):
         mi_sub((1, 0), (0, 1))

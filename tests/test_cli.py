@@ -81,6 +81,10 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
     ["counterexample", "claim1", "--mode", "laurent", "--hole-center", "1e999999999"],
     ["counterexample", "claim1", "--mode", "laurent", "--hole-radius-valuation", "1e999999999"],
     ["norms", "--operator", SAMPLE_PATH, "--radius-valuation", "1e999999999"],
+    # nesting deeper than json.loads can recurse
+    ["norms", "--operator", SAMPLE_PATH, "--domain", "[" * 100000],
+    # decay takes no degree cap: it only ever reached a bound the report discarded
+    ["decay", "--operator", SAMPLE_PATH, "--degree-cap", "2"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, sample_op):
     argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]
@@ -109,6 +113,18 @@ def test_report_without_checks_is_not_a_pass(capsys, tmp_path):
         code, out, err = run(capsys, command, "--operator", str(path))
         assert code == 2 and out == ""
         assert "no check" in err
+
+
+def test_high_dimension_operator_file(capsys, tmp_path):
+    # enumerating indices with one recursion level per coordinate would
+    # exceed the interpreter's recursion limit at this dimension
+    path = tmp_path / "big.op"
+    path.write_text("dim: 1200\nbackend: p=2\norder: 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "roundtrip", "--operator", str(path))
+    assert code == 0
+    assert len(json.loads(out)["operators"][0]["checks"]) == 1201
+    code, out, err = run(capsys, "norms", "--operator", str(path))
+    assert code == 2 and out == "" and "no check" in err
 
 
 def test_roundtrip_seeded(capsys):

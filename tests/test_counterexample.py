@@ -458,7 +458,7 @@ def test_claim1_disc_p2_matching_count_strengthens_bound():
 def test_claim1_disc_series_center():
     fam = RepProductFamily(integer_scheme(HAHN))
     center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
-    rep = verify_claim1_disc(fam, center, Fraction(2), 3, classify_index_cap=3)
+    rep = verify_claim1_disc(fam, center, Fraction(2), 3)
     assert rep["params"]["gamma"] == 2
     # v(center - 2) = 1 < radius valuation 2; bound alpha^2 * 1 from alpha >= 2
     by_alpha = {r["alpha"]: r for r in rep["rows"]}
@@ -470,8 +470,7 @@ def test_claim1_disc_series_center():
 
 def test_claim1_disc_rational_scheme_fractional_center():
     fam = RepProductFamily(rational_scheme(HAHN))
-    rep = verify_claim1_disc(fam, HAHN.from_rational(Fraction(1, 2)), Fraction(1), 5,
-                             classify_index_cap=5)
+    rep = verify_claim1_disc(fam, HAHN.from_rational(Fraction(1, 2)), Fraction(1), 5)
     assert rep["params"]["gamma"] == 3  # 1/2 sits at index 3 of the enumeration
     assert rep["pass"]
 

@@ -14,6 +14,7 @@ from nadops.affinoid import (
     mi_sub,
     mi_total,
     mi_up_to_total,
+    sup_norm,
     unit_polydisc,
 )
 from nadops.operators import (
@@ -36,13 +37,14 @@ from nadops.operators import (
     random_operator,
     random_poly,
     roundtrip_report,
+    _conjugate_to_unit_disc,
     _shifted_monomial_basis,
     random_scalar,
     symbol_coefficient,
     total_symbol,
     translation_invariance_check,
 )
-from nadops.scalars import HahnField, NormValue, PAdicField
+from nadops.scalars import HahnField, NormValue, PAdicField, format_valuation
 
 P2 = PAdicField(2)
 P3 = PAdicField(3)
@@ -381,6 +383,33 @@ def test_norm_bracket_lower_improves_with_cap():
     assert lo3 <= lo1  # valuation can only drop as more monomials are probed
 
 
+def conjugate_per_coordinate(P, domain):
+    """_conjugate_to_unit_disc as it scaled by sigma_i^-alpha_i one
+    coordinate at a time: the oracle for its single scale."""
+    field = P.field
+    scales = tuple(field.element_of_valuation(r) for r in domain.radius_valuations)
+    coeffs = {}
+    for alpha in P.coeffs:
+        moved = P.plain_coefficient(alpha).substitute_affine(domain.center, scales)
+        for i, power in enumerate(alpha):
+            if power:
+                moved = moved.scale(scales[i] ** (-power))
+        coeffs[alpha] = moved
+    return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False)
+
+
+@given(st.sampled_from([P2, P3, HAHN]), st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=40)
+def test_conjugation_matches_per_coordinate_scaling(field, dim, seed):
+    rng = random.Random(seed)
+    P = random_operator(rng, field, dim, 3, 2)
+    denominators = [1] if isinstance(field, PAdicField) else [1, 2, 3]
+    dom = Polydisc(tuple(field.from_rational(rng.randint(0, 3)) for _ in range(dim)),
+                   tuple(Fraction(rng.randint(0, 3), rng.choice(denominators))
+                         for _ in range(dim)))
+    assert _conjugate_to_unit_disc(P, dom) == conjugate_per_coordinate(P, dom)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30)
 def test_norm_bracket_never_inverts_on_fuzz(seed):
@@ -417,6 +446,64 @@ def test_decay_report_rapidly_decaying_family():
     P = DiffOperator.make(P2, 1, coeffs, divided=True)
     rep = coefficient_decay_report(P, 2)
     assert rep["pass"]
+
+
+def bracket_decay_report(P, n, operator_id):
+    """coefficient_decay_report as it read W off the full norm bracket of P
+    on X_n, with v(alpha!) summed as a Fraction: the differential oracle."""
+    field, d = P.field, P.dim
+    vpi = field.pi_valuation
+    dom = Polydisc(tuple(field.zero() for _ in range(d)),
+                   tuple(Fraction(n) * vpi for _ in range(d)))
+
+    def factorial_valuation(alpha):
+        return sum((Fraction(field.factorial_valuation(a)) for a in alpha), Fraction(0))
+
+    _, upper = operator_norm_bracket(P, dom)
+    checks = []
+    all_pass = True
+    for alpha in sorted(P.coeffs):
+        a = P.plain_coefficient(alpha)
+        lhs = sup_norm(a, dom)
+        lhs_gauss = a.gauss_valuation()
+        rhs = upper + NormValue.of(n * mi_total(alpha) * vpi) \
+            + NormValue.of(-factorial_valuation(alpha))
+        ok = lhs >= rhs
+        all_pass = all_pass and ok
+        margin = NormValue(None) if (lhs.is_infinite or rhs.is_infinite) \
+            else NormValue(lhs.valuation - rhs.valuation)
+        gauss_margin = NormValue(None) if (lhs_gauss.is_infinite or rhs.is_infinite) \
+            else NormValue(lhs_gauss.valuation - rhs.valuation)
+        checks.append({
+            "index": list(alpha),
+            "expected": format_valuation(rhs),
+            "got": format_valuation(lhs),
+            "margin": format_valuation(margin),
+            "gauss_margin": format_valuation(gauss_margin),
+            "pass": ok,
+        })
+    return {
+        "operator_id": operator_id,
+        "subdisc_exponent": n,
+        "norm_valuation_upper": format_valuation(upper),
+        "checks": checks,
+        "pass": all_pass,
+    }
+
+
+@given(st.sampled_from([P2, P3, HAHN]), st.integers(1, 3), st.integers(0, 3),
+       st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=80)
+def test_decay_report_matches_bracket_oracle(field, dim, n, divided, seed):
+    rng = random.Random(seed)
+    P = random_operator(rng, field, dim, 3, 2)
+    P = DiffOperator.make(field, dim, P.coeffs, P.order, divided)
+    report = coefficient_decay_report(P, n, operator_id="fuzz")
+    assert report == bracket_decay_report(P, n, operator_id="fuzz")
+    disc = Polydisc(tuple(field.zero() for _ in range(dim)),
+                    (Fraction(n) * field.pi_valuation,) * dim)
+    _, upper = operator_norm_bracket(P, disc)
+    assert report["norm_valuation_upper"] == format_valuation(upper)
 
 
 @given(st.integers(0, 10_000))

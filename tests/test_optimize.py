@@ -59,18 +59,26 @@ order: 3
 """,
 }
 
-# operator-file reports: the symbol table, the norms on a polydisc with a
-# nonzero centre and two radii, and the decay on the radius-|pi|^2 subdisc
+# (backend, operator file, a polydisc with a nonzero centre and two radii)
+OPERATOR_CASES = [
+    ("p=2", "p2.op", '{"type":"polydisc","center":["1/1@2","3/1@2"],"radii":["1","2"]}'),
+    ("p=3", "p3.op", '{"type":"polydisc","center":["2/1@3","0/1@3"],"radii":["2","1"]}'),
+    ("hahn", "hahn.op", '{"type":"polydisc","center":["1*t^(0)","0"],"radii":["1/2","3/2"]}'),
+]
+
+# operator-file reports: the symbol table, the norms on the polydisc and the
+# decay on the radius-|pi|^2 subdisc; then the decay on the unit disc and on
+# the radius-|pi|^3 subdisc
 OPERATOR_ARGVS = [
     argv
-    for backend, path, domain in [
-        ("p=2", "p2.op", '{"type":"polydisc","center":["1/1@2","3/1@2"],"radii":["1","2"]}'),
-        ("p=3", "p3.op", '{"type":"polydisc","center":["2/1@3","0/1@3"],"radii":["2","1"]}'),
-        ("hahn", "hahn.op", '{"type":"polydisc","center":["1*t^(0)","0"],"radii":["1/2","3/2"]}'),
-    ]
+    for backend, path, domain in OPERATOR_CASES
     for argv in (["symbol", "--backend", backend, "--operator", path],
                  ["norms", "--backend", backend, "--operator", path, "--domain", domain],
                  ["decay", "--backend", backend, "--operator", path, "--n", "2"])
+] + [
+    ["decay", "--backend", backend, "--operator", path, "--n", n]
+    for backend, path, _ in OPERATOR_CASES
+    for n in ("0", "3")
 ]
 
 # sha256 of the stdout of these argvs: the README's whole sweep and its
@@ -104,6 +112,18 @@ PINNED_SHA256 = {
         "c5830abb5c5015c7cb607b978530fd5b2aa6c4f654f3276b697e60c561471300",
     tuple(OPERATOR_ARGVS[8]):
         "2d48e186730f0a1777e501611b7522c4cebbd280eac52ece607247ea0c0baae6",
+    tuple(OPERATOR_ARGVS[9]):
+        "276cd19b6d9f0b25d8046476fc08e9fcf4fe96f7282a54a4c963ef43dfcce7e2",
+    tuple(OPERATOR_ARGVS[10]):
+        "ec4c6e56caff8fa930e43858ea9b81c5138e351485b0399231d7aefb34865e83",
+    tuple(OPERATOR_ARGVS[11]):
+        "10d3be7d9f697720203203a5ae89f33500dff9e4b88b2a29346b746160a7b87c",
+    tuple(OPERATOR_ARGVS[12]):
+        "4339210b9407bdcbdec6f8e558c3f4be2896de106811025efeda90854c189c5c",
+    tuple(OPERATOR_ARGVS[13]):
+        "7fa8091709aaf16788705b1997bef3da9334065a7eb290151364d646564c28b6",
+    tuple(OPERATOR_ARGVS[14]):
+        "dd73bbe04c25f1721f0bc2d215250fef3be9b7df6bab89322a7156c059ba2efe",
 }
 
 
