@@ -4,9 +4,10 @@ machine-readable output.
 Every command prints one JSON document (or its flattened CSV rows) and exits
 0 exactly when every reported check passed, 1 when a check ran and failed,
 and 2 with a one-line error on bad input, including input that leaves no
-check to run.  Reports never contain timestamps or environment details and
-all randomness flows through --seed, so a rerun with the same arguments is
-byte-identical.
+check to run.  A check that fails inside a computation, before its row
+exists, prints one 'error: check failed: ...' line and exits 1.  Reports
+never contain timestamps or environment details and all randomness flows
+through --seed, so a rerun with the same arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .affinoid import (
     mi_up_to_total,
 )
 from .counterexample import (
+    CheckFailed,
     RepProductFamily,
     default_scheme,
     rational_scheme,
@@ -349,8 +351,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one 'error: ...' line and exit 2;
+    add_subparsers gives the subcommands the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nadops",
         description="Exact verification suites for differential operators "
                     "over non-Archimedean polydiscs.")
@@ -441,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return 1
     if not rows:
         print("error: the input leaves no check to run", file=sys.stderr)
         return 2

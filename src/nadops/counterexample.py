@@ -29,8 +29,17 @@ j of v(c_j) + j r, less v(lead), without building a polynomial: on a disc
 of radius valuation r about a rational center, that is the Gauss valuation
 of the rescaled member.  The family handed to the classifier is that fold
 too.  member builds the polynomial about 0 from the same stream, and
-member_on_subdisc rescales it generically, for tests and for series
-centers.
+member_on_subdisc rescales it generically; they are the fold's test oracle,
+and no claim calls them.
+
+Every integral center c0 + s (c0 its constant term, q = v(s) > 0, and q =
+inf for s = 0) is folded about c0 at radius valuation min(r, q).  That is
+exact: with b_k the coefficients about c0 and k_min(j) the least k >= j with
+b_k != 0, coefficient j of member(c0 + s + t^r y) has valuation j r +
+q (k_min(j) - j) + v(b_k_min), because that term alone has the least
+exponent and its leading coefficient is nonzero in characteristic 0; the
+least over j is the fold about c0 at min(r, q) (q is finite only on the
+Hahn backend, where every nonzero b_k is a unit).
 
 On the closed unit disc (radius valuation 0) the fold expands member(alpha)
 about its median representative lambda_m rather than about 0.  For
@@ -162,6 +171,11 @@ def default_scheme(field: Field) -> CosetRepScheme:
 # exact expansion of products of powers of linear factors
 
 
+class CheckFailed(ArithmeticError):
+    """An exact check inside a computation failed: the result it guards is
+    wrong, so no report row can be trusted."""
+
+
 class _Expansion(NamedTuple):
     """prod (x - mu)^e = x^shift * sum_j numerators[j] x^j / lead.
 
@@ -178,7 +192,7 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
 
     Denominators are cleared, so the recurrence below runs over plain ints;
     every division it performs is exact by construction, and a remainder
-    raises ArithmeticError as the coefficient is produced.  Coefficient k+1
+    raises CheckFailed as the coefficient is produced.  Coefficient k+1
     reads only the s coefficients before it (s distinct nonzero roots), so
     the stream holds s of them at a time.  The last coefficient must equal
     the leading denominator; that is checked when the stream ends.
@@ -241,11 +255,11 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
             total = sum(map(mul, [b - k * a for b, a in zip(base, slope)], window))
             quotient, remainder = divmod(total, a0 * (k + 1))
             if remainder:
-                raise ArithmeticError("coefficient recurrence produced a non-integer")
+                raise CheckFailed("coefficient recurrence produced a non-integer")
             window.appendleft(quotient)
             yield quotient
         if window[0] != lead:
-            raise ArithmeticError("coefficient recurrence lost the leading term")
+            raise CheckFailed("coefficient recurrence lost the leading term")
 
     return _Expansion(shift, lead, numerators())
 
@@ -292,22 +306,25 @@ class RepProductFamily:
         """Degree and Gauss valuation of member_on_subdisc(alpha, center,
         radius_valuation), or of member(alpha) when no center is given.
 
-        For a rational center this folds the expansion stream without
-        building a polynomial: the valuation is min over nonzero numerators
-        c_j of v(c_j) + j r, less v(lead).  Every coefficient is still
-        computed and checked.  On the unit disc (r = 0) an integral center
-        is replaced by the median representative, which gives the same
-        result exactly.  Series centers take the generic rescale.
+        This folds the expansion stream without building a polynomial: the
+        valuation is min over nonzero numerators c_j of v(c_j) + j r, less
+        v(lead).  A center c0 + s, with c0 its constant term and q = v(s) >
+        0, is folded about c0 at radius valuation min(r, q): coefficient j
+        about the center has valuation exactly j r + q (k_min(j) - j) +
+        v(b_k_min), as its k_min(j) term alone has the least exponent
+        (module docstring).  Every coefficient is still computed and
+        checked; a failed check raises CheckFailed naming alpha.  On the
+        unit disc (r = 0) an integral center is replaced by the median
+        representative, which gives the same result exactly.
         """
         if alpha < 0:
             raise ValueError("family index must be a natural number")
         if radius_valuation < 0:
             raise ValueError("radius valuation must be >= 0")
-        c = Fraction(0) if center is None else self.field.as_rational(center.q)
-        if c is None:
-            xi = self.member_on_subdisc(alpha, center, radius_valuation)
-            return xi.degree(), xi.gauss_valuation()
+        c, q = (Fraction(0), None) if center is None else self.field.split_constant(center.q)
         self.field.element_of_valuation(radius_valuation)  # rejects r outside the value group
+        if q is not None and q < radius_valuation:
+            radius_valuation = q
         if radius_valuation == 0 and self._is_integral(c):
             # on the unit disc every integral center gives the same degree
             # and Gauss valuation, and the median representative the
@@ -331,12 +348,15 @@ class RepProductFamily:
         num, den = r.numerator, r.denominator
         expansion = self._expansion(alpha, c)
         degree, least = -1, None
-        for j, value in enumerate(expansion.numerators, start=expansion.shift):
-            if value:
-                degree = j
-                scaled = den * valuation(value) + num * j
-                if least is None or scaled < least:
-                    least = scaled
+        try:
+            for j, value in enumerate(expansion.numerators, start=expansion.shift):
+                if value:
+                    degree = j
+                    scaled = den * valuation(value) + num * j
+                    if least is None or scaled < least:
+                        least = scaled
+        except CheckFailed as exc:
+            raise CheckFailed(f"member alpha={alpha}: {exc}") from None
         return degree, NormValue.of(Fraction(least, den) - valuation(expansion.lead))
 
     def _is_integral(self, q: Fraction) -> bool:

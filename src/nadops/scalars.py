@@ -35,7 +35,7 @@ the least valuation over many values, built as one Fraction at the end.
 The internal form lives in the Scalar's ``q`` slot.  ``Scalar.payload`` is
 a read-only view of it in the documented layout: a Fraction for a p-adic
 scalar, and a tuple of sorted (Fraction, Fraction) pairs for a Hahn series.
-Fraction remains only at the edges: the view, ``as_rational``, valuations
+Fraction remains only at the edges: the view, ``split_constant``, valuations
 (a NormValue holds a Fraction) and the parsing of input.
 
 Norms are never represented as floats.  A norm is carried as a NormValue,
@@ -341,11 +341,14 @@ class PAdicField:
         return f"{q[0]}/{q[1]}@{self.p}"
 
     @staticmethod
-    def as_rational(q: _Q) -> Fraction:
-        """The value as a plain rational constant; every p-adic scalar is one."""
-        return Fraction(*q)
+    def split_constant(q: _Q) -> tuple[Fraction, Fraction | None]:
+        """The value as c0 + s, c0 a rational constant and v(s) > 0: (c0, v(s)),
+        with None for s = 0.  Every p-adic scalar is a rational constant."""
+        return Fraction(*q), None
 
-    _view = as_rational
+    @staticmethod
+    def _view(q: _Q) -> Fraction:
+        return Fraction(*q)
 
     def element_of_valuation(self, v: Rational) -> "Scalar":
         """Some scalar of the requested valuation; here, a power of p.
@@ -516,13 +519,20 @@ class HahnField:
         return " + ".join(f"{_qtext(c)}*t^({_qtext(e)})" for e, c in q)
 
     @staticmethod
-    def as_rational(q: HahnPayload) -> Fraction | None:
-        """The value as a plain rational constant, or None for a real series."""
-        if not q:
-            return Fraction(0)
-        if len(q) == 1 and q[0][0] == _ZERO:
-            return Fraction(*q[0][1])
-        return None
+    def split_constant(q: HahnPayload) -> tuple[Fraction, Fraction | None]:
+        """The value as c0 + s, c0 its t^0 coefficient and v(s) > 0: (c0, v(s)),
+        with None for s = 0.  A term of negative exponent makes v(s) < 0, and
+        the value is not integral: ValueError."""
+        c0 = Fraction(0)
+        rest = None
+        for e, c in q:
+            if e == _ZERO:
+                c0 = Fraction(*c)
+            elif rest is None:
+                rest = e  # the support is sorted, so the first is the least
+        if rest is not None and rest[0] < 0:
+            raise ValueError(f"{HahnField.to_text(q)} is not integral")
+        return c0, None if rest is None else Fraction(*rest)
 
     @staticmethod
     def _view(q: HahnPayload) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import nadops.cli
+from nadops import counterexample
 from nadops.cli import main
+from nadops.counterexample import RepProductFamily
 
 SAMPLE_OP = """\
 dim: 1
@@ -85,6 +88,8 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
     ["norms", "--operator", SAMPLE_PATH, "--domain", "[" * 100000],
     # decay takes no degree cap: it only ever reached a bound the report discarded
     ["decay", "--operator", SAMPLE_PATH, "--degree-cap", "2"],
+    # no command at all
+    [],
 ])
 def test_bad_input_exits_two_without_traceback(argv, sample_op):
     argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]
@@ -94,6 +99,80 @@ def test_bad_input_exits_two_without_traceback(argv, sample_op):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr and proc.stdout == ""
+    # argparse's errors too: no usage lines before the error
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_failed_expansion_check_exits_one_with_one_line(capsys, monkeypatch):
+    # the stream of member(3) (four roots) fails its integrality check
+    # partway through, as a broken recurrence would
+    real = counterexample._linear_power_product
+
+    def broken(roots):
+        expansion = real(roots)
+        if len(roots) != 4:
+            return expansion
+
+        def numerators():
+            for k, value in enumerate(expansion.numerators):
+                if k == 10:
+                    raise counterexample.CheckFailed(
+                        "coefficient recurrence produced a non-integer")
+                yield value
+        return expansion._replace(numerators=numerators())
+
+    monkeypatch.setattr(counterexample, "_linear_power_product", broken)
+    code, out, err = run(capsys, "counterexample", "claim2", "--alpha-max", "5")
+    assert code == 1 and out == ""
+    assert err == ("error: check failed: member alpha=3: "
+                   "coefficient recurrence produced a non-integer\n")
+
+
+# argvs whose reports read a member's degree or Gauss valuation, per backend
+FOLD_ARGVS = [
+    ["counterexample", "claim1", "--mode", "disc", "--center", "3",
+     "--radius-valuation", "2", "--alpha-max", "6"],
+    ["counterexample", "claim1", "--mode", "laurent", "--hole-center", "3",
+     "--hole-radius-valuation", "2", "--alpha-max", "6"],
+    ["counterexample", "claim2", "--alpha-max", "8"],
+    ["classify"],
+]
+SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc",
+                    "--center", "2*t^(0) + 1*t^(1/2)", "--radius-valuation", "3/2"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*argv, "--backend", backend] for backend in ("p=2", "hahn") for argv in FOLD_ARGVS],
+    [*SERIES_DISC_ARGV, "--alpha-max", "6"],
+])
+def test_no_runtime_path_builds_a_member_polynomial(argv, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runtime path built a member polynomial")
+
+    with mock.patch.object(RepProductFamily, "member", refuse), \
+            mock.patch.object(RepProductFamily, "member_on_subdisc", refuse), \
+            mock.patch.object(counterexample, "rescale_to_subdisc", refuse):
+        code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["pass"]
+
+
+def test_series_center_disc_runs_to_the_default_alpha():
+    # the fold reads a series center as its constant term at radius
+    # valuation min(r, v(s)); rescaling member(alpha), of degree
+    # (alpha + 1) alpha^2, would run for hours at alpha = 10
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    reports = []
+    for alpha_max in ("10", "5"):
+        proc = subprocess.run([sys.executable, "-m", "nadops.cli", *SERIES_DISC_ARGV,
+                               "--alpha-max", alpha_max],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        [disc] = json.loads(proc.stdout)["reports"]
+        reports.append(disc)
+    full, short = reports
+    assert len(full["rows"]) == 11
+    assert full["rows"][:6] == short["rows"]
 
 
 def test_large_prime_backend_runs():

@@ -318,17 +318,28 @@ def test_matching_indices():
 
 @st.composite
 def disc_cases(draw):
-    """A scheme, an index, a rational center and a radius valuation.
+    """A scheme, an index, a center and a radius valuation.
 
-    Half the centers sit on a representative, which puts a root at 0 (a
-    shift); the rest are drawn with denominators, which on the rational
-    scheme and off-representative centers gives a leading denominator > 1.
+    Half the rational centers sit on a representative, which puts a root at
+    0 (a shift); the rest are drawn with denominators, which on the
+    rational scheme and off-representative centers gives a leading
+    denominator > 1.  On the Hahn schemes half the centers are series c0 +
+    s instead, c0 drawn as a rational center and s of 1-3 terms with
+    positive exponents, so q = v(s) > 0; the radius valuations fall on
+    both sides of q.
     """
     scheme = draw(st.sampled_from(SCHEMES))
-    alpha = draw(st.integers(0, 4))
+    series = isinstance(scheme.field, HahnField) and draw(st.booleans())
+    alpha = draw(st.integers(0, 3 if series else 4))
     center = draw(st.one_of(
         st.integers(0, alpha + 2).map(scheme.rep_rational_fn),
         st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))))
+    if series:
+        exponents = draw(st.sets(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)),
+                                 min_size=1, max_size=3))
+        coefficients = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+        center = HAHN.from_terms([(Fraction(0), center)]
+                                 + [(e, draw(coefficients)) for e in sorted(exponents)])
     if isinstance(scheme.field, PAdicField):
         radius = Fraction(draw(st.integers(0, 3)))
     else:
@@ -378,7 +389,7 @@ def test_claim2_fold_about_the_median_streams_fewer_numerators():
     assert sum(nonzero) <= 2100, f"{sum(nonzero)} nonzero numerators of {len(nonzero)}"
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=150)
 @given(disc_cases())
 # a lead with positive valuation, and a root at 0 on the rational scheme
 @example((SCHEMES[0], 2, Fraction(1, 2), Fraction(1)))
@@ -389,23 +400,46 @@ def test_claim2_fold_about_the_median_streams_fewer_numerators():
 @example((SCHEMES[1], 4, Fraction(7), Fraction(0)))
 @example((SCHEMES[0], 3, Fraction(1, 2), Fraction(0)))
 @example((SCHEMES[4], 4, Fraction(-5, 3), Fraction(0)))
+# series centers: r above q = 1/2 with c0 on lambda_2, where the shift
+# makes the gauss q * 4 = 2 (the README's series disc); r below q; three
+# terms with r between the first two exponents
+@example((SCHEMES[3], 2, HAHN.from_terms([(0, 2), (Fraction(1, 2), 1)]), Fraction(3, 2)))
+@example((SCHEMES[3], 3, HAHN.from_terms([(0, 1), (2, -3)]), Fraction(4, 3)))
+@example((SCHEMES[4], 3, HAHN.from_terms([(0, Fraction(1, 2)), (Fraction(1, 3), 2),
+                                          (1, 1), (Fraction(5, 3), -1)]), Fraction(2, 3)))
 def test_fold_matches_member_on_subdisc(case):
+    # a series center is folded as its constant term at radius valuation
+    # min(r, v(s)); the generic and the factor-by-factor rescales build the
+    # member about the center itself
     scheme, alpha, c, r = case
     fam = RepProductFamily(scheme)
-    center = scheme.field.from_rational(c)
-    xi = expansion_on_subdisc(fam, alpha, c, r)
+    rational = isinstance(c, Fraction)
+    center = scheme.field.from_rational(c) if rational else c
     folded = fam._degree_and_gauss(alpha, center, r)
-    assert folded == (xi.degree(), xi.gauss_valuation())
+    if rational:
+        xi = expansion_on_subdisc(fam, alpha, c, r)
+        assert folded == (xi.degree(), xi.gauss_valuation())
     if center.valuation() >= NormValue.of(0):
-        generic = fam.member_on_subdisc(alpha, center, r)
-        assert folded == (generic.degree(), generic.gauss_valuation())
+        for xi in (fam.member_on_subdisc(alpha, center, r),
+                   naive_member_on_subdisc(scheme, alpha, center, r)):
+            assert folded == (xi.degree(), xi.gauss_valuation())
 
 
-def test_fold_on_series_center_takes_the_generic_rescale():
+def test_fold_on_series_center_matches_the_generic_rescale():
     fam = RepProductFamily(integer_scheme(HAHN))
     center = HAHN.from_terms([(Fraction(0), 2), (Fraction(1), 1)])  # 2 + t
     generic = naive_member_on_subdisc(fam.scheme, 2, center, Fraction(2))
     assert fam._degree_and_gauss(2, center, Fraction(2)) == (12, generic.gauss_valuation())
+
+
+def test_fold_rejects_series_center_that_is_not_integral():
+    # a term of negative exponent: the generic rescale refuses it too
+    fam = RepProductFamily(integer_scheme(HAHN))
+    center = HAHN.from_terms([(Fraction(-1, 2), 1), (Fraction(0), 2), (Fraction(1), 1)])
+    with pytest.raises(ValueError):
+        fam._degree_and_gauss(2, center, Fraction(1))
+    with pytest.raises(ValueError):
+        fam.member_on_subdisc(2, center, Fraction(1))
 
 
 def test_fold_rejects_radius_outside_value_group():

@@ -81,9 +81,14 @@ OPERATOR_ARGVS = [
     for n in ("0", "3")
 ]
 
+# a disc about a Hahn series center above the radius of its series part
+SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc",
+                    "--center", "2*t^(0) + 1*t^(1/2)", "--radius-valuation", "3/2",
+                    "--alpha-max", "5"]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
-# roundtrip example, a p-adic roundtrip, a csv suite and the operator-file
-# reports; together they print rationals and Hahn exponents of every shape
+# roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
+# reports and the series-center disc; together they print rationals and Hahn exponents of every shape
 # the reports use
 PINNED_SHA256 = {
     ("suite", "--seed", "123"):
@@ -124,6 +129,8 @@ PINNED_SHA256 = {
         "7fa8091709aaf16788705b1997bef3da9334065a7eb290151364d646564c28b6",
     tuple(OPERATOR_ARGVS[14]):
         "dd73bbe04c25f1721f0bc2d215250fef3be9b7df6bab89322a7156c059ba2efe",
+    tuple(SERIES_DISC_ARGV):
+        "4f829f968f9b358541b092ff6b9d1b4d35001947b84b960e6b4b0f411f987235",
 }
 
 
@@ -153,6 +160,7 @@ def test_no_assert_statements(name):
     ["roundtrip", "--backend", "p=2", "--count", "25", "--d", "2", "--seed", "7"],
     ["suite", "--seed", "5", "--format", "csv"],
     *OPERATOR_ARGVS,
+    SERIES_DISC_ARGV,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():

@@ -400,6 +400,18 @@ def test_hahn_element_of_valuation_accepts_fractions():
     assert s.valuation() == NormValue.of(Fraction(-3, 7))
 
 
+def test_split_constant_reads_the_constant_term_and_the_rest():
+    assert P2.split_constant(P2.from_rational(Fraction(-3, 4)).q) == (Fraction(-3, 4), None)
+    assert HAHN.split_constant(HAHN.zero().q) == (0, None)
+    assert HAHN.split_constant(HAHN.from_rational(Fraction(5, 2)).q) == (Fraction(5, 2), None)
+    center = HAHN.from_terms([(Fraction(2), 1), (Fraction(0), -2), (Fraction(1, 3), 7)])
+    assert HAHN.split_constant(center.q) == (-2, Fraction(1, 3))
+    assert HAHN.split_constant(HAHN.uniformizer().q) == (0, 1)
+    for terms in ([(Fraction(-1, 2), 1)], [(Fraction(-1), 1), (Fraction(0), 3), (Fraction(1), 1)]):
+        with pytest.raises(ValueError):
+            HAHN.split_constant(HAHN.from_terms(terms).q)
+
+
 def test_hahn_division_exact_case():
     t = HAHN.uniformizer()
     num = HAHN.from_terms([(Fraction(2), 1), (Fraction(3), 1)])
