@@ -22,12 +22,10 @@ from fractions import Fraction
 
 from .affinoid import (
     Hole,
-    Polydisc,
     SparsePoly,
     _parse_rational,
     domain_from_json,
     poly_to_text,
-    sup_norm,
     unit_polydisc,
     mi_box,
     mi_up_to_total,
@@ -48,11 +46,11 @@ from .operators import (
     DiffOperator,
     EndoOracle,
     NON_DECREASING_WITNESSED,
+    _norm_bracket_terms,
     coefficient_decay_report,
     classify_rapid_decay,
     combinatorial_delta,
     operator_from_text,
-    operator_norm_bracket,
     radius_seminorm,
     random_operator,
     roundtrip_report,
@@ -174,15 +172,14 @@ def _cmd_norms(args) -> tuple[dict, list[dict]]:
         domain = domain_from_json(descriptor, field)
     else:
         domain = unit_polydisc(field, P.dim)
-    rows = []
-    for alpha in sorted(P.coeffs):
-        a = P.plain_coefficient(alpha)
-        rows.append({
-            "index": list(alpha),
-            "gauss": format_valuation(a.gauss_valuation()),
-            "sup": format_valuation(sup_norm(a, domain)),
-            "pass": True,
-        })
+    # a holed disc has no norm bracket, so it leaves no check: ValueError
+    lower, upper, sups, terms = _norm_bracket_terms(P, domain)
+    # each row checks the decay estimate against the norm read from the action side
+    rows = [{"index": list(alpha),
+             "gauss": format_valuation(P.plain_coefficient(alpha).gauss_valuation()),
+             "sup": format_valuation(sups[alpha]),
+             "pass": terms[alpha] >= lower}
+            for alpha in sorted(P.coeffs)]
     seminorm_r = args.radius_valuation
     report = {
         "command": "norms",
@@ -192,12 +189,10 @@ def _cmd_norms(args) -> tuple[dict, list[dict]]:
                    "seminorm_radius_valuation": str(seminorm_r)},
         "rows": rows,
         "seminorm_valuation": format_valuation(radius_seminorm(P, seminorm_r)),
-        "pass": True,
+        "norm_bracket": {"lower_valuation": format_valuation(lower),
+                         "upper_valuation": format_valuation(upper)},
+        "pass": all(r["pass"] for r in rows),
     }
-    if isinstance(domain, Polydisc):
-        lower, upper = operator_norm_bracket(P, domain, args.degree_cap)
-        report["norm_bracket"] = {"lower_valuation": format_valuation(lower),
-                                  "upper_valuation": format_valuation(upper)}
     return report, rows
 
 
@@ -387,14 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-cap", type=_natural(0), default=12)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("norms", help="gauss / sup / seminorm / norm-bracket queries")
+    p = sub.add_parser("norms", help="gauss / sup / seminorm and the operator norm on a "
+                                      "polydisc, from its action and its coefficients "
+                                      "(equal: alpha! b_alpha is an integer combination "
+                                      "of monomial images)")
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--domain", help="domain descriptor as JSON")
     p.add_argument("--radius-valuation", type=_rational, default="0",
                    help="seminorm radius valuation")
-    p.add_argument("--degree-cap", type=_natural(0), default=None,
-                   help="monomial degree cap for the norm bracket")
     p.set_defaults(handler=_cmd_norms)
 
     p = sub.add_parser("counterexample", help="bounded on subdomains, divergent globally")

@@ -400,7 +400,8 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     one summand per factor whose representative shares the center's residue
     class.  A restricted family witness (structured bound with the first
     matching index as shift, members read from the fold on Z) is then run
-    through the decay classifier.
+    through the decay classifier.  The witness reads the rows' folds, so
+    each member is folded once.
     """
     if radius_valuation <= 0:
         raise ValueError("a proper subdisc needs a strictly positive radius valuation")
@@ -413,8 +414,10 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
 
     rows = []
     all_rows_pass = True
+    folded = []  # the fold's Gauss valuation on Z, by alpha
     for alpha in range(alpha_max + 1):
         _, lhs = family._degree_and_gauss(alpha, center, radius_valuation)
+        folded.append(lhs)
         bound = Fraction(0)
         for beta, gap in gap_by_index.items():
             if beta <= alpha:
@@ -433,10 +436,9 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     conclusion_pass = True
     if gamma is not None:
         quad = _min_with_radius(gap_by_index[gamma], radius_valuation)
-        witness = CoefficientFamily(
-            family.field, 1,
-            lambda a: family._degree_and_gauss(a[0], center, radius_valuation)[1],
-            bound=DecayBound(quad=quad, shift=gamma))
+        # index_cap <= alpha_max, so every member the classifier reads is folded
+        witness = CoefficientFamily(family.field, 1, lambda a: folded[a[0]],
+                                    bound=DecayBound(quad=quad, shift=gamma))
         verdict = classify_rapid_decay(witness, r_max=3,
                                        index_cap=min(alpha_max, 8))
         conclusion_pass = verdict == DECREASING_WITNESSED

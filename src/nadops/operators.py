@@ -9,10 +9,13 @@ at a stated order.  Everything here is exact:
   * symbol_coefficient recovers the coefficient family of a black-box
     endomorphism from its values on monomials, and roundtrip_report checks
     that recovery is exact on a concrete operator;
-  * the norm bracket sandwiches an operator norm between a monomial-image
-    lower bound and a coefficientwise upper bound, both exact valuations;
+  * the norm bracket computes the operator norm on a polydisc from the
+    monomial images and from the coefficients, and the two sides are equal:
+    conjugated to the unit polydisc, alpha! b_alpha is an integer
+    combination of the images P y^beta with |beta| <= |alpha|, so the
+    coefficient norm and the norm as an endomorphism are one number;
   * the decay report reads one sup valuation per coefficient on a small
-    subdisc, and takes the upper bracket there from those same valuations.
+    subdisc, and takes the operator norm there from those same valuations.
 
 Every weight in these sums is an integer or a normalized int pair (n, d):
 C(alpha, gamma), a falling factorial, or C(alpha, beta) (-1)^|gap| / alpha!
@@ -373,53 +376,77 @@ def radius_seminorm(P: DiffOperator, radius_valuation: Rational) -> NormValue:
     return best
 
 
-def _conjugate_to_unit_disc(P: DiffOperator, domain: Polydisc) -> DiffOperator:
-    """Rewrite P in the coordinates of the unit polydisc over ``domain``.
+def _conjugate_to_unit_disc(P: DiffOperator, domain: Polydisc) -> tuple[DiffOperator, dict]:
+    """Rewrite P in the coordinates of the unit polydisc over ``domain``,
+    and read off the sup valuation of each plain coefficient on ``domain``.
 
     x = c + sigma y turns d/dx_i into sigma_i^{-1} d/dy_i, so the plain
     coefficient at alpha becomes a_alpha(c + sigma y) * sigma^{-alpha}.
-    Monomials y^delta have sup norm exactly 1 afterwards, which is what
-    makes the monomial-image lower bound honest.
+    The Gauss valuation of a_alpha(c + sigma y) is the sup valuation of
+    a_alpha on ``domain``, so one substitution per coefficient gives both.
     """
     field, radii = P.field, domain.radius_valuations
     scales = tuple(field.element_of_valuation(r) for r in radii)
-    coeffs: dict[MultiIndex, SparsePoly] = {}
+    coeffs, sups = {}, {}
     for alpha in P.coeffs:
         moved = P.plain_coefficient(alpha).substitute_affine(domain.center, scales)
+        sups[alpha] = moved.gauss_valuation()
         # each scale is p^r or t^r, so sigma^-alpha is the element of valuation -shift
         shift = sum(power * r for power, r in zip(alpha, radii))
         coeffs[alpha] = moved.scale(field.element_of_valuation(-shift))
-    return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False)
+    return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False), sups
 
 
-def operator_norm_bracket(P: DiffOperator, domain: Polydisc,
-                          degree_cap: int | None = None) -> tuple[NormValue, NormValue]:
-    """Exact sandwich for the operator norm of P on a polydisc.
+def _coefficient_side(field: Field, radii: tuple[Fraction, ...],
+                      sups: Mapping[MultiIndex, NormValue]) -> tuple[NormValue, dict]:
+    """The coefficient side of the norm bracket: its least value and, per
+    alpha, sup_alpha - sum_i alpha_i r_i + v(alpha!).
 
-    Returns (lower, upper) as NormValues describing norms, so in valuation
-    form lower.valuation >= upper.valuation.  The lower bound is the best
-    monomial image max |P y^delta| over |delta| <= cap after conjugating to
-    the unit polydisc; the upper bound is max over alpha of
-    |a_alpha| * |alpha!| there (divided powers have norm at most one on the
-    unit polydisc, and d^alpha = alpha! * d^(alpha)).
+    sup_alpha is the sup valuation of a_alpha on the polydisc of radius
+    valuations r.  Conjugated to the unit polydisc, the coefficient b_alpha
+    has Gauss valuation sup_alpha - sum_i alpha_i r_i, and d^alpha = alpha!
+    d^(alpha) with divided powers of norm at most one there, so each value
+    is the valuation of the bound |alpha!| |b_alpha|.
     """
+    terms = {alpha: sup + NormValue.of(sum(map(field.factorial_valuation, alpha))
+                                       - sum(map(operator.mul, alpha, radii)))
+             for alpha, sup in sups.items()}
+    return min(terms.values(), default=NormValue.infinite()), terms
+
+
+def _norm_bracket_terms(P: DiffOperator,
+                        domain: Polydisc) -> tuple[NormValue, NormValue, dict, dict]:
+    """operator_norm_bracket's (lower, upper), then the sup valuation of each
+    a_alpha on ``domain`` and the coefficient side's value at each alpha."""
     if isinstance(domain, HoledDisc):
-        raise ValueError("operator norm brackets are only defined over polydiscs")
+        raise ValueError("the operator norm bracket is only defined over polydiscs")
     if P.dim != domain.dim:
         raise ValueError("operator and domain dimensions differ")
-    cap = P.order if degree_cap is None else degree_cap
-    conj = _conjugate_to_unit_disc(P, domain)
-    lower_val = NormValue.infinite()
-    for delta in mi_up_to_total(P.dim, cap):
+    conj, sups = _conjugate_to_unit_disc(P, domain)
+    lower = NormValue.infinite()
+    for delta in mi_up_to_total(P.dim, P.order):
         image = apply_operator(conj, SparsePoly.monomial(P.field, P.dim, delta))
-        lower_val = min(lower_val, image.gauss_valuation())
-    upper_val = NormValue.infinite()
-    for alpha, b in conj.coeffs.items():
-        v = b.gauss_valuation() + NormValue.of(sum(map(P.field.factorial_valuation, alpha)))
-        upper_val = min(upper_val, v)
-    if not upper_val <= lower_val:
-        raise ArithmeticError("norm bracket inverted")
-    return NormValue(lower_val.valuation), NormValue(upper_val.valuation)
+        lower = min(lower, image.gauss_valuation())
+    upper, terms = _coefficient_side(P.field, domain.radius_valuations, sups)
+    return lower, upper, sups, terms
+
+
+def operator_norm_bracket(P: DiffOperator, domain: Polydisc) -> tuple[NormValue, NormValue]:
+    """The operator norm of P on a polydisc, from its action and from its
+    coefficients; the two sides are equal.
+
+    Returns (lower, upper) in valuation form.  After conjugating to the
+    unit polydisc, with b_alpha the plain coefficients there, lower is the
+    least Gauss valuation of P y^delta over |delta| <= order, and upper the
+    least v(alpha!) + v(b_alpha) (_coefficient_side).  lower >= upper since
+    d^alpha y^delta = alpha! C(delta, alpha) y^(delta - alpha), and upper >=
+    lower since alpha! b_alpha = sum over beta <= alpha of C(alpha, beta)
+    (-y)^(alpha - beta) P y^beta, an integer combination of monomial images.
+    So the coefficient norm of P and its norm as an endomorphism are one
+    number.
+    """
+    lower, upper, _, _ = _norm_bracket_terms(P, domain)
+    return lower, upper
 
 
 def coefficient_decay_report(P: DiffOperator, n: int, operator_id: str = "operator") -> dict:
@@ -430,42 +457,38 @@ def coefficient_decay_report(P: DiffOperator, n: int, operator_id: str = "operat
 
         v(a_alpha restricted to X_n) >= W + n |alpha| v(pi) - v(alpha!)
 
-    where W is the upper bracket operator_norm_bracket(P, X_n) returns.  It
-    comes from the same sup valuations: conjugated to the unit polydisc, the
-    coefficient at alpha has Gauss valuation sup(a_alpha on X_n) - n |alpha|
-    v(pi), so W is the least sup - n |alpha| v(pi) + v(alpha!).  The
-    restriction on the left is what the origin-centered estimate controls;
-    the plain Gauss valuation of a_alpha is also reported (gauss_margin) and
-    coincides for coefficients whose sup is attained at the center.
+    where W is the operator norm of P on X_n, in valuation form.  W is read
+    from the coefficient side of operator_norm_bracket(P, X_n), which equals
+    its action side: the least sup - n |alpha| v(pi) + v(alpha!) over the
+    same sup valuations, one per coefficient.  The restriction on the left
+    is what the origin-centered estimate controls; the plain Gauss valuation
+    of a_alpha is also reported (gauss_margin) and coincides for
+    coefficients whose sup is attained at the center.
     """
     if n < 0:
         raise ValueError("subdisc exponent must be a natural number")
     field, d = P.field, P.dim
-    vpi = field.pi_valuation
-    dom = Polydisc(tuple(field.zero() for _ in range(d)), (Fraction(n) * vpi,) * d)
+    radii = (Fraction(n) * field.pi_valuation,) * d
+    dom = Polydisc(tuple(field.zero() for _ in range(d)), radii)
     coefficients = []
     for alpha in sorted(P.coeffs):
         a = P.plain_coefficient(alpha)
-        shift = n * mi_total(alpha) * vpi - sum(map(field.factorial_valuation, alpha))  # rhs - W
-        coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation(), shift))
-    upper = min((lhs + NormValue.of(-shift) for _, lhs, _, shift in coefficients),
-                default=NormValue.infinite())
+        coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation()))
+    upper, terms = _coefficient_side(field, radii, {alpha: lhs for alpha, lhs, _ in coefficients})
     checks = []
     all_pass = True
-    for alpha, lhs, lhs_gauss, shift in coefficients:
-        rhs = upper + NormValue.of(shift)
+    # every stored coefficient is nonzero, so every valuation below is finite
+    for alpha, lhs, lhs_gauss in coefficients:
+        margin = terms[alpha].valuation - upper.valuation
+        rhs = NormValue(lhs.valuation - margin)
         ok = lhs >= rhs
         all_pass = all_pass and ok
-        margin = NormValue(None) if (lhs.is_infinite or rhs.is_infinite) \
-            else NormValue(lhs.valuation - rhs.valuation)
-        gauss_margin = NormValue(None) if (lhs_gauss.is_infinite or rhs.is_infinite) \
-            else NormValue(lhs_gauss.valuation - rhs.valuation)
         checks.append({
             "index": list(alpha),
             "expected": format_valuation(rhs),
             "got": format_valuation(lhs),
             "margin": format_valuation(margin),
-            "gauss_margin": format_valuation(gauss_margin),
+            "gauss_margin": format_valuation(lhs_gauss.valuation - rhs.valuation),
             "pass": ok,
         })
     return {

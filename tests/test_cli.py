@@ -11,6 +11,7 @@ import nadops.cli
 from nadops import counterexample
 from nadops.cli import main
 from nadops.counterexample import RepProductFamily
+from nadops.scalars import NormValue
 
 SAMPLE_OP = """\
 dim: 1
@@ -88,6 +89,11 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
     ["norms", "--operator", SAMPLE_PATH, "--domain", "[" * 100000],
     # decay takes no degree cap: it only ever reached a bound the report discarded
     ["decay", "--operator", SAMPLE_PATH, "--degree-cap", "2"],
+    # nor does norms: the bracket always probes |delta| <= order, where it is exact
+    ["norms", "--operator", SAMPLE_PATH, "--degree-cap", "2"],
+    # a holed disc has no norm bracket, so norms has no check to run there
+    ["norms", "--operator", SAMPLE_PATH, "--domain",
+     '{"type":"holed_disc","holes":[{"center":"1/1@2","radius_valuation":"1"}]}'],
     # no command at all
     [],
 ])
@@ -155,6 +161,27 @@ def test_no_runtime_path_builds_a_member_polynomial(argv, capsys):
         code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--backend", "p=2", "--radius-valuation", "3"],
+    ["--backend", "hahn", "--radius-valuation", "1/2"],
+])
+def test_claim1_disc_folds_each_member_once(argv, capsys):
+    # the classifier witness reads the rows' folds instead of refolding
+    real = RepProductFamily._degree_and_gauss
+    folded = []
+
+    def counted(self, alpha, *args):
+        folded.append(alpha)
+        return real(self, alpha, *args)
+
+    with mock.patch.object(RepProductFamily, "_degree_and_gauss", counted):
+        code, out, err = run(capsys, "counterexample", "claim1", "--mode", "disc",
+                             "--center", "1", *argv, "--alpha-max", "10")
+    assert code == 0, err
+    assert json.loads(out)["reports"][0]["restricted_family_verdict"] == "decreasing-witnessed"
+    assert sorted(folded) == list(range(11))
 
 
 def test_series_center_disc_runs_to_the_default_alpha():
@@ -267,6 +294,23 @@ def test_norms_with_domain_json(capsys, sample_op):
     report = json.loads(out)
     sup = {tuple(r["index"]): r["sup"] for r in report["rows"]}
     assert sup == {(1,): "1", (2,): "4"}
+
+
+def test_norms_rows_check_the_coefficient_side_against_the_action_side(
+        capsys, sample_op, monkeypatch):
+    real = nadops.cli._norm_bracket_terms
+
+    def action_side_one_too_high(P, domain):
+        lower, upper, sups, terms = real(P, domain)
+        return NormValue.of(lower.valuation + 1), upper, sups, terms
+
+    monkeypatch.setattr(nadops.cli, "_norm_bracket_terms", action_side_one_too_high)
+    code, out, _ = run(capsys, "norms", "--operator", sample_op)
+    assert code == 1
+    report = json.loads(out)
+    # the row attaining the norm fails; the other has margin to spare
+    assert {tuple(r["index"]): r["pass"] for r in report["rows"]} == {(1,): False, (2,): True}
+    assert report["pass"] is False
 
 
 def test_missing_operator_file_exits_two(capsys):

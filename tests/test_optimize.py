@@ -7,6 +7,8 @@ the suite come out the same with and without ``-O``, and that the bytes of
 the suite and of the pinned reports below have not moved.  The operator-file
 reports run on the fixed 2-variable operators in ``OPERATOR_FILES``, written
 into the working directory of the run, so the path they echo is fixed too.
+The same operators show that ``norms`` substitutes each coefficient into its
+polydisc once.
 """
 
 import ast
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import nadops
+from nadops.affinoid import SparsePoly
+from nadops.cli import main
 
 PACKAGE = Path(nadops.__file__).parent
 MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py"))
@@ -81,6 +85,10 @@ OPERATOR_ARGVS = [
     for n in ("0", "3")
 ]
 
+# norms on the default domain, the unit polydisc, where sup == gauss
+DEFAULT_DOMAIN_ARGVS = [["norms", "--backend", backend, "--operator", path]
+                        for backend, path, _ in OPERATOR_CASES]
+
 # a disc about a Hahn series center above the radius of its series part
 SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc",
                     "--center", "2*t^(0) + 1*t^(1/2)", "--radius-valuation", "3/2",
@@ -88,8 +96,9 @@ SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "
 
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
-# reports and the series-center disc; together they print rationals and Hahn exponents of every shape
-# the reports use
+# reports (norms also on the default domain) and the series-center disc;
+# together they print rationals and Hahn exponents of every shape the
+# reports use
 PINNED_SHA256 = {
     ("suite", "--seed", "123"):
         "6a6fed363ac541b6a43041e12303d5205fc5b35b60a8d9595d1f298d6a548899",
@@ -131,6 +140,12 @@ PINNED_SHA256 = {
         "dd73bbe04c25f1721f0bc2d215250fef3be9b7df6bab89322a7156c059ba2efe",
     tuple(SERIES_DISC_ARGV):
         "4f829f968f9b358541b092ff6b9d1b4d35001947b84b960e6b4b0f411f987235",
+    tuple(DEFAULT_DOMAIN_ARGVS[0]):
+        "a6cb94d6e7467c1fa2b665bbcf72a9c4fd9984a5ab341e92d4d9cd8f621d0f6e",
+    tuple(DEFAULT_DOMAIN_ARGVS[1]):
+        "ca219a8590d1c9d260d8caf7a995b2d6b41ef18bb9e2b63c0b22ce7fdb40d4b5",
+    tuple(DEFAULT_DOMAIN_ARGVS[2]):
+        "a5b0906766c186c6f67381dc3b69f605140443b547f822d45b771e72a0e05027",
 }
 
 
@@ -161,6 +176,7 @@ def test_no_assert_statements(name):
     ["suite", "--seed", "5", "--format", "csv"],
     *OPERATOR_ARGVS,
     SERIES_DISC_ARGV,
+    *DEFAULT_DOMAIN_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():
@@ -177,3 +193,23 @@ def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     assert plain.stdout and plain.stdout == optimized.stdout
     if tuple(argv) in PINNED_SHA256:
         assert hashlib.sha256(plain.stdout).hexdigest() == PINNED_SHA256[tuple(argv)]
+
+
+@pytest.mark.parametrize("backend,path,domain", OPERATOR_CASES)
+def test_norms_substitutes_each_coefficient_once(backend, path, domain, tmp_path,
+                                                 monkeypatch, capsys):
+    # the rows' sup and the bracket read the same conjugated coefficients
+    (tmp_path / path).write_text(OPERATOR_FILES[path], encoding="utf-8")
+    real = SparsePoly.substitute_affine
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(SparsePoly, "substitute_affine", counted)
+    code = main(["norms", "--backend", backend, "--operator", str(tmp_path / path),
+                 "--domain", domain])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 4  # one per coefficient
