@@ -14,9 +14,7 @@ from .scalars import (
     parse_scalar,
 )
 from .affinoid import (
-    Domain,
     Hole,
-    HoledDisc,
     Polydisc,
     SparsePoly,
     domain_from_json,

@@ -8,6 +8,10 @@ take the Gauss norm of the result.
 
 Multi-indices are plain tuples of naturals; the helpers here are the only
 place componentwise order, factorials and binomials are spelled out.
+
+The one domain type is the Polydisc.  A Hole is not a domain: it is the
+parameter of claim 1's disc-with-a-hole check, which takes no sup norm
+over the holed disc.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .scalars import Field, NormValue, Rational, Scalar, parse_scalar
 
@@ -350,6 +353,8 @@ def unit_polydisc(field: Field, dim: int) -> Polydisc:
 
 @dataclass(frozen=True)
 class Hole:
+    """The open hole |x - center| < |tau|, with v(tau) = radius_valuation."""
+
     center: Scalar
     radius_valuation: Fraction
 
@@ -358,35 +363,6 @@ class Hole:
             raise ValueError("hole center must be integral (valuation >= 0)")
         if self.radius_valuation < 0:
             raise ValueError("hole radius valuation must be >= 0")
-
-
-@dataclass(frozen=True)
-class HoledDisc:
-    """The closed unit disc (one variable) minus open holes |x - a_i| < |tau_i|.
-
-    Holes must be pairwise disjoint: |a_i - a_j| >= max(|tau_i|, |tau_j|),
-    i.e. v(a_i - a_j) <= min of the radius valuations.
-    """
-
-    holes: tuple[Hole, ...]
-
-    def __post_init__(self) -> None:
-        for ha, hb in itertools.combinations(self.holes, 2):
-            gap = (ha.center - hb.center).valuation()
-            limit = NormValue(min(ha.radius_valuation, hb.radius_valuation))
-            if not (gap <= limit):
-                raise ValueError("holes overlap: centers too close for the radii")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def field(self) -> Field:
-        return self.holes[0].center.field
-
-
-Domain = Union[Polydisc, HoledDisc]
 
 
 def rescale_to_subdisc(f: SparsePoly, center: tuple[Scalar, ...],
@@ -408,17 +384,9 @@ def rescale_to_subdisc(f: SparsePoly, center: tuple[Scalar, ...],
     return f.substitute_affine(tuple(center), tuple(scales))
 
 
-def sup_norm(f: SparsePoly, domain: Domain) -> NormValue:
-    """Exact sup norm of f over the domain, in valuation form.
-
-    Polydisc: rescale to the unit polydisc and take the Gauss norm.
-    Holed disc: the Gauss point of the ambient unit disc survives removing
-    open holes, so the sup norm is the plain Gauss norm.
-    """
-    if isinstance(domain, HoledDisc):
-        if f.dim != 1:
-            raise ValueError("holed discs are one-dimensional")
-        return f.gauss_valuation()
+def sup_norm(f: SparsePoly, domain: Polydisc) -> NormValue:
+    """Exact sup norm of f over the polydisc, in valuation form: rescale to
+    the unit polydisc and take the Gauss norm."""
     if f.dim != domain.dim:
         raise ValueError("dimension mismatch between function and domain")
     if f.field != domain.field:
@@ -497,19 +465,11 @@ def poly_from_text(text: str, field: Field, dim: int) -> SparsePoly:
 # domain descriptors (JSON-shaped dicts)
 
 
-def domain_to_json(domain: Domain) -> dict:
-    if isinstance(domain, Polydisc):
-        return {
-            "type": "polydisc",
-            "center": [c.to_text() for c in domain.center],
-            "radii": [str(r) for r in domain.radius_valuations],
-        }
+def domain_to_json(domain: Polydisc) -> dict:
     return {
-        "type": "holed_disc",
-        "holes": [
-            {"center": h.center.to_text(), "radius_valuation": str(h.radius_valuation)}
-            for h in domain.holes
-        ],
+        "type": "polydisc",
+        "center": [c.to_text() for c in domain.center],
+        "radii": [str(r) for r in domain.radius_valuations],
     }
 
 
@@ -549,25 +509,17 @@ def _json_scalar(value: object, field: Field) -> Scalar:
 def _json_list(obj: dict, key: str) -> list:
     value = obj.get(key)
     if not isinstance(value, list):
-        raise ValueError(f"a {obj['type']} descriptor needs a list under {key!r}, got {value!r}")
+        raise ValueError(f"a polydisc descriptor needs a list under {key!r}, got {value!r}")
     return value
 
 
-def domain_from_json(obj: object, field: Field) -> Domain:
+def domain_from_json(obj: object, field: Field) -> Polydisc:
     """Inverse of domain_to_json; a malformed descriptor raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"a domain descriptor must be a JSON object, got {obj!r}")
     kind = obj.get("type")
-    if kind == "polydisc":
-        center = tuple(_json_scalar(c, field) for c in _json_list(obj, "center"))
-        radii = tuple(_json_rational(r, "a radius valuation") for r in _json_list(obj, "radii"))
-        return Polydisc(center, radii)
-    if kind == "holed_disc":
-        holes = []
-        for h in _json_list(obj, "holes"):
-            if not isinstance(h, dict):
-                raise ValueError(f"a hole must be a JSON object, got {h!r}")
-            holes.append(Hole(_json_scalar(h.get("center"), field),
-                              _json_rational(h.get("radius_valuation"), "a hole radius valuation")))
-        return HoledDisc(tuple(holes))
-    raise ValueError(f"unknown domain type {kind!r}")
+    if kind != "polydisc":
+        raise ValueError(f"unknown domain type {kind!r}, expected 'polydisc'")
+    center = tuple(_json_scalar(c, field) for c in _json_list(obj, "center"))
+    radii = tuple(_json_rational(r, "a radius valuation") for r in _json_list(obj, "radii"))
+    return Polydisc(center, radii)

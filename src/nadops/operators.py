@@ -48,7 +48,6 @@ from .affinoid import (
     MultiIndex,
     Polydisc,
     SparsePoly,
-    HoledDisc,
     _combine,
     mi_binomial,
     mi_box,
@@ -418,8 +417,6 @@ def _norm_bracket_terms(P: DiffOperator,
                         domain: Polydisc) -> tuple[NormValue, NormValue, dict, dict]:
     """operator_norm_bracket's (lower, upper), then the sup valuation of each
     a_alpha on ``domain`` and the coefficient side's value at each alpha."""
-    if isinstance(domain, HoledDisc):
-        raise ValueError("the operator norm bracket is only defined over polydiscs")
     if P.dim != domain.dim:
         raise ValueError("operator and domain dimensions differ")
     conj, sups = _conjugate_to_unit_disc(P, domain)

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nadops.affinoid import (
-    Hole,
-    HoledDisc,
     Polydisc,
     SparsePoly,
     domain_from_json,
@@ -371,22 +369,6 @@ def test_polydisc_validation():
         Polydisc((P2.zero(), P2.zero()), (Fraction(0),))
 
 
-def test_holed_disc_requires_disjoint_holes():
-    h1 = Hole(P2.zero(), Fraction(2))
-    h2 = Hole(P2.from_rational(1), Fraction(1))
-    HoledDisc((h1, h2))  # |0 - 1| = 1 >= max radius
-    h3 = Hole(P2.from_rational(4), Fraction(1))
-    with pytest.raises(ValueError):
-        HoledDisc((h1, h3))  # centers 4-close, radius |2| hole swallows it
-
-
-def test_sup_norm_on_holed_disc_is_gauss():
-    x = SparsePoly.variable(P2, 1, 0)
-    dom = HoledDisc((Hole(P2.zero(), Fraction(1)),))
-    f = (x - SparsePoly.constant(P2, 1, 1)).scale(4)
-    assert sup_norm(f, dom) == NormValue.of(2)
-
-
 # ---------------------------------------------------------------------------
 # hole basis derivative, against a symbolic pole-order oracle
 
@@ -473,12 +455,9 @@ def test_domain_json_roundtrip():
     assert obj["type"] == "polydisc"
     assert domain_from_json(json.loads(json.dumps(obj)), P2) == dom
 
-    holed = HoledDisc((Hole(P2.zero(), Fraction(1)), Hole(P2.one(), Fraction(2))))
-    obj2 = domain_to_json(holed)
-    assert obj2["type"] == "holed_disc"
-    assert domain_from_json(obj2, P2) == holed
-
 
 def test_domain_json_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        domain_from_json({"type": "annulus"}, P2)
+    # the polydisc is the one domain type; a holed disc is no longer one
+    for kind in ("annulus", "holed_disc"):
+        with pytest.raises(ValueError, match="expected 'polydisc'"):
+            domain_from_json({"type": kind, "holes": []}, P2)

@@ -96,6 +96,8 @@ def test_identity_row_fails_when_the_delta_check_raises(capsys, monkeypatch):
      '{"type":"holed_disc","holes":[{"center":"1/1@2","radius_valuation":"1"}]}'],
     # no command at all
     [],
+    # the rational scheme enumerates residues of the Hahn backend only
+    ["counterexample", "claim2", "--scheme", "rational", "--backend", "p=2"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, sample_op):
     argv = [sample_op if arg == SAMPLE_PATH else arg for arg in argv]
@@ -168,7 +170,7 @@ def test_no_runtime_path_builds_a_member_polynomial(argv, capsys):
     ["--backend", "hahn", "--radius-valuation", "1/2"],
 ])
 def test_claim1_disc_folds_each_member_once(argv, capsys):
-    # the classifier witness reads the rows' folds instead of refolding
+    # the verdict comes from the rows, so nothing refolds a member
     real = RepProductFamily._degree_and_gauss
     folded = []
 
@@ -182,6 +184,26 @@ def test_claim1_disc_folds_each_member_once(argv, capsys):
     assert code == 0, err
     assert json.loads(out)["reports"][0]["restricted_family_verdict"] == "decreasing-witnessed"
     assert sorted(folded) == list(range(11))
+
+
+def test_claim1_disc_failed_row_exits_one_with_its_report(capsys):
+    # a fold that reads too low at alpha = 2 fails that row; the report
+    # still prints, and the verdict the rows give is inconclusive
+    real = RepProductFamily._degree_and_gauss
+
+    def lowered(self, alpha, *args):
+        degree, gauss = real(self, alpha, *args)
+        return (degree, NormValue.of(-1)) if alpha == 2 else (degree, gauss)
+
+    with mock.patch.object(RepProductFamily, "_degree_and_gauss", lowered):
+        code, out, err = run(capsys, "counterexample", "claim1", "--mode", "disc",
+                             "--center", "1", "--radius-valuation", "3")
+    assert code == 1 and err == ""
+    [disc] = json.loads(out)["reports"]
+    assert [row["alpha"] for row in disc["rows"] if not row["pass"]] == [2]
+    assert disc["rows"][2]["valuation_lhs"] == "-1"
+    assert disc["restricted_family_verdict"] == "inconclusive"
+    assert disc["pass"] is False
 
 
 def test_series_center_disc_runs_to_the_default_alpha():

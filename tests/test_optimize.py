@@ -8,7 +8,7 @@ the suite and of the pinned reports below have not moved.  The operator-file
 reports run on the fixed 2-variable operators in ``OPERATOR_FILES``, written
 into the working directory of the run, so the path they echo is fixed too.
 The same operators show that ``norms`` substitutes each coefficient into its
-polydisc once.
+polydisc once, and divides each divided-power coefficient by alpha! once.
 """
 
 import ast
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import nadops
+from nadops import operators
 from nadops.affinoid import SparsePoly
 from nadops.cli import main
 
@@ -89,6 +90,14 @@ OPERATOR_ARGVS = [
 DEFAULT_DOMAIN_ARGVS = [["norms", "--backend", backend, "--operator", path]
                         for backend, path, _ in OPERATOR_CASES]
 
+# claim 1 on a disc, one per backend; the verdict comes from the rows
+CLAIM1_DISC_ARGVS = [
+    ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "3",
+     "--radius-valuation", "2", "--alpha-max", "6"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1",
+     "--radius-valuation", "1/2", "--alpha-max", "6"],
+]
+
 # a disc about a Hahn series center above the radius of its series part
 SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc",
                     "--center", "2*t^(0) + 1*t^(1/2)", "--radius-valuation", "3/2",
@@ -96,7 +105,8 @@ SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "
 
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
-# reports (norms also on the default domain) and the series-center disc;
+# reports (norms also on the default domain), the claim-1 discs and the
+# series-center disc;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -138,6 +148,10 @@ PINNED_SHA256 = {
         "7fa8091709aaf16788705b1997bef3da9334065a7eb290151364d646564c28b6",
     tuple(OPERATOR_ARGVS[14]):
         "dd73bbe04c25f1721f0bc2d215250fef3be9b7df6bab89322a7156c059ba2efe",
+    tuple(CLAIM1_DISC_ARGVS[0]):
+        "a3248b8b124434ed32f99ac1bb23ef4304096bb9f08c8d6829af6ef566bf0347",
+    tuple(CLAIM1_DISC_ARGVS[1]):
+        "00ff0f67aeedabb138f564f3eaf1b7de41212133a79367ccc530cd1e40d22585",
     tuple(SERIES_DISC_ARGV):
         "4f829f968f9b358541b092ff6b9d1b4d35001947b84b960e6b4b0f411f987235",
     tuple(DEFAULT_DOMAIN_ARGVS[0]):
@@ -158,12 +172,10 @@ def test_no_assert_statements(name):
 
 @pytest.mark.parametrize("argv", [
     ["counterexample", "claim2", "--backend", "p=2", "--alpha-max", "8"],
-    ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "3",
-     "--radius-valuation", "2", "--alpha-max", "6"],
+    CLAIM1_DISC_ARGVS[0],
     ["suite", "--seed", "123"],
     ["counterexample", "claim2", "--backend", "hahn", "--alpha-max", "8"],
-    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1",
-     "--radius-valuation", "1/2", "--alpha-max", "6"],
+    CLAIM1_DISC_ARGVS[1],
     ["counterexample", "claim1", "--backend", "p=2", "--mode", "laurent", "--hole-center", "3",
      "--hole-radius-valuation", "2", "--alpha-max", "6", "--beta-max", "6", "--delta-max", "12"],
     ["counterexample", "claim1", "--backend", "hahn", "--mode", "laurent", "--hole-center", "0",
@@ -213,3 +225,24 @@ def test_norms_substitutes_each_coefficient_once(backend, path, domain, tmp_path
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 4  # one per coefficient
+
+
+@pytest.mark.parametrize("backend,path,domain",
+                         [case for case in OPERATOR_CASES if case[1] in ("p2.op", "hahn.op")])
+def test_norms_divides_each_coefficient_by_its_factorial_once(backend, path, domain, tmp_path,
+                                                             monkeypatch, capsys):
+    # the rows, the bracket and the seminorm read one plain operator
+    (tmp_path / path).write_text(OPERATOR_FILES[path], encoding="utf-8")
+    real = operators._combine
+    divisions = []
+
+    def counted(*args, rational=False):
+        divisions.append(rational)
+        return real(*args, rational=rational)
+
+    monkeypatch.setattr(operators, "_combine", counted)
+    code = main(["norms", "--backend", backend, "--operator", str(tmp_path / path),
+                 "--domain", domain])
+    capsys.readouterr()
+    assert code == 0
+    assert divisions.count(True) == 4  # one per coefficient
