@@ -27,10 +27,12 @@ produced, and the leading term when the stream ends.  Every claim reads
 only a degree and a Gauss valuation, so the stream is folded into min over
 j of v(c_j) + j r, less v(lead), without building a polynomial: on a disc
 of radius valuation r about a rational center, that is the Gauss valuation
-of the rescaled member.  The family handed to the classifier is that fold
-too.  member builds the polynomial about 0 from the same stream, and
-member_on_subdisc rescales it generically; they are the fold's test oracle,
-and no claim calls them.
+of the rescaled member.  The numerators are ints, so v(c_j) >= 0: once j r
+is at least the least value so far, no later term can go below it, and
+the fold takes no more valuations.  The family handed to the classifier is
+that fold too.  member builds the polynomial about 0 from the same stream,
+and member_on_subdisc rescales it generically; they are the fold's test
+oracle, and no claim calls them.
 
 Every integral center c0 + s (c0 its constant term, q = v(s) > 0, and q =
 inf for s = 0) is folded about c0 at radius valuation min(r, q).  That is
@@ -42,16 +44,22 @@ least over j is the fold about c0 at min(r, q) (q is finite only on the
 Hahn backend, where every nonzero b_k is a unit).
 
 On the closed unit disc (radius valuation 0) the fold expands member(alpha)
-about its median representative lambda_m rather than about 0.  For
-integral c, y -> c + y maps the closed unit disc isometrically onto itself:
-f -> f(c + y) maps the integral polynomials onto themselves (its inverse is
-f -> f(y - c)) and commutes with reduction modulo the maximal ideal, so it
-keeps the Gauss valuation, and it keeps the degree.  Which integral center
-is taken therefore does not change the result.  About lambda_m the roots
-lambda_beta - lambda_m sit on both sides of 0 and are about half as large;
-on the Hahn integer scheme with even alpha they are symmetric, so every
-other numerator is 0.  One root stays at 0, as a shift.  Each coefficient
-is still computed exactly and checked.
+about a center of its own choosing rather than about 0.  For integral c,
+y -> c + y maps the closed unit disc isometrically onto itself: f -> f(c +
+y) maps the integral polynomials onto themselves (its inverse is f -> f(y -
+c)) and commutes with reduction modulo the maximal ideal, so it keeps the
+Gauss valuation, and it keeps the degree.  Which integral center is taken
+therefore does not change the result.  The fold takes the center the
+representatives are symmetric about when there is one and it is integral:
+alpha/2 on the Hahn integer scheme, 0 on the rational scheme at even
+alpha, and on a cycling scheme for odd p the middle residue (p - 1)/2 when
+every residue occurs equally often, or alpha/2 while alpha < p.  About it
+the roots come in pairs +-mu of one multiplicity, so the member is y^shift
+prod (y^2 - mu^2)^e, a polynomial in y^2: the expansion runs in y^2, over
+half the degree with half the lags.  Otherwise (always on p = 2, whose
+center 1/2 is not integral) it takes the median representative, about
+which the roots sit on both sides of 0 and are about half as large.  Each
+coefficient is still computed exactly and checked.
 
 Claim 1's monomial side on a disc with a hole reads the same fold: the
 divided-power operator member(alpha) d^(alpha) sends x^delta to
@@ -64,7 +72,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import count
+from operator import mul, sub
 from typing import Callable, Iterator, NamedTuple
 
 from .affinoid import (
@@ -176,14 +185,18 @@ class CheckFailed(ArithmeticError):
 
 
 class _Expansion(NamedTuple):
-    """prod (x - mu)^e = x^shift * sum_j numerators[j] x^j / lead.
+    """prod (x - mu)^e = x^shift * sum_k numerators[k] x^(step k) / lead.
 
-    ``numerators`` is a one-shot iterator of exact ints, lowest degree first.
+    ``numerators`` is a one-shot iterator of exact ints, lowest degree first;
+    numerator k is the coefficient of x^(shift + step k).  ``step`` is 2 for
+    an even product (every nonzero root paired with its negative), whose
+    odd coefficients are 0 and are not streamed, and 1 otherwise.
     """
 
     shift: int
     lead: int
     numerators: Iterator[int]
+    step: int
 
 
 def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
@@ -195,6 +208,12 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
     reads only the s coefficients before it (s distinct nonzero roots), so
     the stream holds s of them at a time.  The last coefficient must equal
     the leading denominator; that is checked when the stream ends.
+
+    When every nonzero root mu has -mu at the same multiplicity, the product
+    is x^shift prod over mu > 0 of (x^2 - mu^2)^e, and the same recurrence
+    runs on the roots mu^2 in x^2 (step 2).  With mu = p/q the pair clears
+    to q^2 x^2 - p^2, so the leading denominator and the numerators are
+    those of the expansion in x at even degree; the odd ones are 0.
     """
     merged: dict[Fraction, int] = {}
     for mu, e in roots:
@@ -203,9 +222,13 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
         if e:
             merged[mu] = merged.get(mu, 0) + e
     shift = merged.pop(Fraction(0), 0)
+    step = 1
+    if all(merged.get(-mu) == e for mu, e in merged.items()):
+        merged = {mu * mu: e for mu, e in merged.items() if mu > 0}
+        step = 2
     live = sorted(merged.items())
     if not live:
-        return _Expansion(shift, 1, iter([1]))
+        return _Expansion(shift, 1, iter([1]), 1)
 
     # factor x - p/q becomes (q x - p); H = prod (q x - p)^e is integral
     pairs = [(mu.numerator, mu.denominator, e) for mu, e in live]
@@ -236,7 +259,8 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
 
     # (k+1) a0 c[k+1] = sum over lags j of (B[j] - (k-j) A[j+1]) c[k-j]; the
     # weight at lag j is base[j] - k A[j+1], a small int, so each lag costs
-    # one big x small product
+    # one big x small product.  Each step lowers the weights by A[j+1] and
+    # raises the divisor by a0.
     s = len(pairs)
     base = [B[j] + j * A[j + 1] for j in range(s)]
     slope = A[1:]
@@ -249,18 +273,20 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
 
     def numerators() -> Iterator[int]:
         window = deque([c0], maxlen=s)  # c[k], c[k-1], ..., newest first
+        w, d = base, a0  # the weights and the divisor at k = 0
         yield c0
-        for k in range(n):
-            total = sum(map(mul, [b - k * a for b, a in zip(base, slope)], window))
-            quotient, remainder = divmod(total, a0 * (k + 1))
+        for _ in range(n):
+            quotient, remainder = divmod(sum(map(mul, w, window)), d)
             if remainder:
                 raise CheckFailed("coefficient recurrence produced a non-integer")
             window.appendleft(quotient)
             yield quotient
+            w = list(map(sub, w, slope))
+            d += a0
         if window[0] != lead:
             raise CheckFailed("coefficient recurrence lost the leading term")
 
-    return _Expansion(shift, lead, numerators())
+    return _Expansion(shift, lead, numerators(), step)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +314,7 @@ class RepProductFamily:
         expansion = self._expansion(alpha, Fraction(0))
         return SparsePoly(self.field, 1, {
             (j,): self.field.from_rational(Fraction(value, expansion.lead))
-            for j, value in enumerate(expansion.numerators, start=expansion.shift)
+            for j, value in zip(count(expansion.shift, expansion.step), expansion.numerators)
             if value})
 
     def member_expected_degree(self, alpha: int) -> int:
@@ -307,31 +333,40 @@ class RepProductFamily:
 
         This folds the expansion stream without building a polynomial: the
         valuation is min over nonzero numerators c_j of v(c_j) + j r, less
-        v(lead).  A center c0 + s, with c0 its constant term and q = v(s) >
-        0, is folded about c0 at radius valuation min(r, q): coefficient j
-        about the center has valuation exactly j r + q (k_min(j) - j) +
-        v(b_k_min), as its k_min(j) term alone has the least exponent
-        (module docstring).  Every coefficient is still computed and
-        checked; a failed check raises CheckFailed naming alpha.  On the
-        unit disc (r = 0) an integral center is replaced by the median
-        representative, which gives the same result exactly.
+        v(lead), with j = shift + step k for the k-th numerator.  The
+        numerators are ints, so v(c_j) >= 0 and no term is below j r; j only
+        grows, so once j r is at least the least value so far the remaining
+        valuations are skipped.  At r = 0 that is from the first unit
+        numerator on.  A center c0 + s, with c0 its constant term and q =
+        v(s) > 0, is folded about c0 at radius valuation min(r, q):
+        coefficient j about the center has valuation exactly j r + q
+        (k_min(j) - j) + v(b_k_min), as its k_min(j) term alone has the
+        least exponent (module docstring).  Every coefficient is still
+        computed and checked; a failed check raises CheckFailed naming
+        alpha.  On the unit disc (r = 0) an integral center is replaced by
+        the integral center the representatives are symmetric about, which
+        makes the member even, else by the median representative; either
+        gives the same result exactly.
         """
         if alpha < 0:
             raise ValueError("family index must be a natural number")
         if radius_valuation < 0:
             raise ValueError("radius valuation must be >= 0")
         c, q = (Fraction(0), None) if center is None else self.field.split_constant(center.q)
-        self.field.element_of_valuation(radius_valuation)  # rejects r outside the value group
-        if q is not None and q < radius_valuation:
-            radius_valuation = q
-        if radius_valuation == 0 and self._is_integral(c):
+        r = self.field.check_valuation(radius_valuation)
+        if q is not None and q < r:
+            r = q
+        if r == 0 and self._is_integral(c):
             # on the unit disc every integral center gives the same degree
-            # and Gauss valuation, and the median representative the
-            # cheapest expansion (module docstring)
-            median = sorted(self.scheme.rep_rational_fn(beta)
-                            for beta in range(alpha + 1))[alpha // 2]
-            if self._is_integral(median):
-                c = median
+            # and Gauss valuation; the center of symmetry makes the member
+            # even, else the median halves the roots (module docstring)
+            reps = sorted(self.scheme.rep_rational_fn(beta) for beta in range(alpha + 1))
+            middle = (reps[0] + reps[-1]) / 2
+            if not (self._is_integral(middle)
+                    and all(a + b == 2 * middle for a, b in zip(reps, reversed(reps)))):
+                middle = reps[alpha // 2]
+            if self._is_integral(middle):
+                c = middle
         if isinstance(self.field, PAdicField):
             p = self.field.p
 
@@ -343,17 +378,17 @@ class RepProductFamily:
 
         # min over j of v(c_j) + j r, times r's denominator to stay in ints;
         # the stream ends on lead != 0, so some numerator is nonzero
-        r = Fraction(radius_valuation)
         num, den = r.numerator, r.denominator
         expansion = self._expansion(alpha, c)
         degree, least = -1, None
         try:
-            for j, value in enumerate(expansion.numerators, start=expansion.shift):
+            for j, value in zip(count(expansion.shift, expansion.step), expansion.numerators):
                 if value:
                     degree = j
-                    scaled = den * valuation(value) + num * j
-                    if least is None or scaled < least:
-                        least = scaled
+                    if least is None or num * j < least:
+                        scaled = den * valuation(value) + num * j
+                        if least is None or scaled < least:
+                            least = scaled
         except CheckFailed as exc:
             raise CheckFailed(f"member alpha={alpha}: {exc}") from None
         return degree, NormValue.of(Fraction(least, den) - valuation(expansion.lead))
@@ -386,6 +421,18 @@ def _min_with_radius(gap: NormValue, radius_valuation: Fraction) -> Fraction:
     return min(gap.valuation, radius_valuation)
 
 
+def _failed_row(alpha: int, rhs: NormValue, exc: CheckFailed) -> dict:
+    """The row of an alpha whose fold failed an exact check: it has no left
+    side, and its error names alpha and the check that failed."""
+    return {
+        "alpha": alpha,
+        "error": str(exc),
+        "valuation_lhs": None,
+        "valuation_rhs": format_valuation(rhs),
+        "pass": False,
+    }
+
+
 def verify_claim1_disc(family: RepProductFamily, center: Scalar,
                        radius_valuation: Fraction, alpha_max: int) -> dict:
     """Per-alpha subdisc bound, and the decay verdict it gives the
@@ -405,7 +452,9 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     quadratic valuation bound at every alpha <= alpha_max, which beats every
     linear drain r |alpha| v(pi): "decreasing-witnessed".  A failed row
     leaves it "inconclusive", and with no matching index there is no
-    verdict (null).  The report passes when every row does.
+    verdict (null).  The report passes when every row does.  A fold that
+    fails an exact check fails its row (``_failed_row``), and the other
+    rows still run.
     """
     if radius_valuation <= 0:
         raise ValueError("a proper subdisc needs a strictly positive radius valuation")
@@ -417,22 +466,25 @@ def verify_claim1_disc(family: RepProductFamily, center: Scalar,
     gap_by_index = dict(matches)
 
     rows = []
-    all_pass = True
     for alpha in range(alpha_max + 1):
-        _, lhs = family._degree_and_gauss(alpha, center, radius_valuation)
         bound = Fraction(0)
         for beta, gap in gap_by_index.items():
             if beta <= alpha:
                 bound += alpha * alpha * _min_with_radius(gap, radius_valuation)
-        ok = lhs >= NormValue.of(bound)
-        all_pass = all_pass and ok
+        rhs = NormValue.of(bound)
+        try:
+            _, lhs = family._degree_and_gauss(alpha, center, radius_valuation)
+        except CheckFailed as exc:
+            rows.append(_failed_row(alpha, rhs, exc))
+            continue
         rows.append({
             "alpha": alpha,
             "valuation_lhs": format_valuation(lhs),
-            "valuation_rhs": format_valuation(NormValue.of(bound)),
-            "pass": ok,
+            "valuation_rhs": format_valuation(rhs),
+            "pass": lhs >= rhs,
         })
 
+    all_pass = all(row["pass"] for row in rows)
     verdict = None
     if gamma is not None:
         verdict = DECREASING_WITNESSED if all_pass else INCONCLUSIVE
@@ -480,7 +532,8 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
 
     since the binomials are integers and C(alpha, alpha) = 1; it is +inf
     when delta_max < alpha.  gauss(member(alpha)) comes from the expansion
-    fold, taken about the median representative (module docstring).
+    fold on the unit disc (module docstring).  A fold that fails an exact
+    check fails its row (``_failed_row``); the hole side still runs.
 
     Hole side: with z_beta = (tau/(x-a))^(beta+1), the ratio
     z_beta^{-1} (member d^(alpha)) z_beta equals (-1)^alpha
@@ -509,14 +562,9 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
     rho = None if gamma is None else hole.center - family.scheme.rep(gamma)
 
     rows = []
-    all_pass = True
     bound_column: list[Fraction] = []
     for alpha in range(alpha_max + 1):
-        # (i) monomial images, read from the expansion fold
-        monomial_worst = _monomial_side_valuation(family, alpha, delta_max)
-        monomial_ok = monomial_worst >= NormValue.of(0)
-
-        # (ii) hole-basis ratio, in closed form piecewise
+        # (i) hole-basis ratio, in closed form piecewise
         if gamma is not None and alpha >= gamma:
             vrho = rho.valuation()
             if vrho.is_infinite:
@@ -526,15 +574,20 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
         else:
             displayed = -alpha * vtau
         bound_column.append(displayed)
-        lhs = min(monomial_worst, NormValue.of(displayed))
         rhs = NormValue.of(min(displayed, Fraction(0)))
-        ok = monomial_ok and lhs >= rhs
-        all_pass = all_pass and ok
+
+        # (ii) monomial images, read from the expansion fold
+        try:
+            monomial_worst = _monomial_side_valuation(family, alpha, delta_max)
+        except CheckFailed as exc:
+            rows.append(_failed_row(alpha, rhs, exc))
+            continue
+        lhs = min(monomial_worst, NormValue.of(displayed))
         rows.append({
             "alpha": alpha,
             "valuation_lhs": format_valuation(lhs),
             "valuation_rhs": format_valuation(rhs),
-            "pass": ok,
+            "pass": monomial_worst >= NormValue.of(0) and lhs >= rhs,
         })
 
     # finite constant over tested alpha, and where the bound stabilizes at 0
@@ -554,7 +607,7 @@ def verify_claim1_laurent(family: RepProductFamily, hole: Hole, alpha_max: int,
                 for a in range(stabilization_index, alpha_max + 1)]
         tail_ok = all(b > a for a, b in zip(tail, tail[1:]))
 
-    report_pass = all_pass and stable_found and tail_ok
+    report_pass = all(row["pass"] for row in rows) and stable_found and tail_ok
     report = {
         "scheme": family.scheme.name,
         "claim": "claim1-laurent",
@@ -585,34 +638,37 @@ def verify_claim2(family: RepProductFamily, alpha_max: int) -> dict:
     (alpha + 1) alpha^2.  The left side is the valuation of the alpha-th
     term of the pi-rescaled operator family; the inequality says those
     terms blow up at least like |pi|^{-alpha}.  Both numbers come from the
-    expansion fold about the median representative lambda_m: x -> lambda_m
-    + y is an isometry of the closed unit disc, so member(lambda_m + y) has
-    the degree and the Gauss valuation of member(x) (module docstring).
+    expansion fold about an integral center c, the representatives' center
+    of symmetry or their median: x -> c + y is an isometry of the closed
+    unit disc, so member(c + y) has the degree and the Gauss valuation of
+    member(x) (module docstring).  A fold that fails an exact check fails
+    its row (``_failed_row``).
     """
     field = family.field
     vpi = field.pi_valuation
     rows = []
-    all_pass = True
     for alpha in range(alpha_max + 1):
-        degree, gauss = family._degree_and_gauss(alpha)
+        rhs = NormValue.of(-alpha * vpi)
+        try:
+            degree, gauss = family._degree_and_gauss(alpha)
+        except CheckFailed as exc:
+            rows.append(_failed_row(alpha, rhs, exc))
+            continue
         degree_ok = degree == family.member_expected_degree(alpha)
         gauss_ok = gauss == NormValue.of(0)
         lhs = gauss + NormValue.of(alpha * vpi
                                    - field.factorial_valuation(alpha)
                                    - 2 * alpha * vpi)
-        rhs = NormValue.of(-alpha * vpi)
-        ok = degree_ok and gauss_ok and lhs <= rhs
-        all_pass = all_pass and ok
         rows.append({
             "alpha": alpha,
             "valuation_lhs": format_valuation(lhs),
             "valuation_rhs": format_valuation(rhs),
-            "pass": ok,
+            "pass": degree_ok and gauss_ok and lhs <= rhs,
         })
     return {
         "scheme": family.scheme.name,
         "claim": "claim2",
         "params": {"alpha_max": alpha_max},
         "rows": rows,
-        "pass": all_pass,
+        "pass": all(row["pass"] for row in rows),
     }

@@ -350,15 +350,17 @@ class PAdicField:
     def _view(q: _Q) -> Fraction:
         return Fraction(*q)
 
-    def element_of_valuation(self, v: Rational) -> "Scalar":
-        """Some scalar of the requested valuation; here, a power of p.
-
-        The value group is Z, so a fractional request is an error.
-        """
+    @staticmethod
+    def check_valuation(v: Rational) -> Fraction:
+        """v as a Fraction; the value group is Z, so a fractional v is an error."""
         v = Fraction(v)
         if v.denominator != 1:
             raise ValueError(f"valuation {v} is not in the value group Z of the p-adic backend")
-        k = int(v)
+        return v
+
+    def element_of_valuation(self, v: Rational) -> "Scalar":
+        """Some scalar of the requested valuation; here, a power of p."""
+        k = int(self.check_valuation(v))
         return Scalar(self, (self.p ** k, 1) if k >= 0 else (1, self.p ** -k))
 
     def factorial_valuation(self, m: int) -> int:
@@ -538,9 +540,14 @@ class HahnField:
     def _view(q: HahnPayload) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((Fraction(*e), Fraction(*c)) for e, c in q)
 
+    @staticmethod
+    def check_valuation(v: Rational) -> Fraction:
+        """v as a Fraction; the value group is all of Q."""
+        return Fraction(v)
+
     def element_of_valuation(self, v: Rational) -> "Scalar":
-        """t^v; the value group is all of Q."""
-        return Scalar(self, ((_qof(v), _ONE),))
+        """t^v."""
+        return Scalar(self, ((_qof(self.check_valuation(v)), _ONE),))
 
     def factorial_valuation(self, m: int) -> int:
         if m < 0:

@@ -111,9 +111,9 @@ def test_bad_input_exits_two_without_traceback(argv, sample_op):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
-def test_failed_expansion_check_exits_one_with_one_line(capsys, monkeypatch):
-    # the stream of member(3) (four roots) fails its integrality check
-    # partway through, as a broken recurrence would
+def break_member_three(monkeypatch):
+    """Make the stream of member(3) (four roots) fail its integrality check
+    partway through, as a broken recurrence would."""
     real = counterexample._linear_power_product
 
     def broken(roots):
@@ -130,10 +130,50 @@ def test_failed_expansion_check_exits_one_with_one_line(capsys, monkeypatch):
         return expansion._replace(numerators=numerators())
 
     monkeypatch.setattr(counterexample, "_linear_power_product", broken)
-    code, out, err = run(capsys, "counterexample", "claim2", "--alpha-max", "5")
+
+
+def test_failed_expansion_check_exits_one_with_one_line(capsys, monkeypatch):
+    # classify has no per-alpha rows: a failed check is one line, exit 1
+    break_member_three(monkeypatch)
+    code, out, err = run(capsys, "classify")
     assert code == 1 and out == ""
     assert err == ("error: check failed: member alpha=3: "
                    "coefficient recurrence produced a non-integer\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "claim2", "--alpha-max", "5"],
+    ["counterexample", "claim2", "--backend", "hahn", "--alpha-max", "5"],
+    ["counterexample", "claim1", "--mode", "disc", "--center", "3",
+     "--radius-valuation", "2", "--alpha-max", "5"],
+    ["counterexample", "claim1", "--mode", "laurent", "--hole-center", "3",
+     "--hole-radius-valuation", "2", "--alpha-max", "5"],
+])
+def test_failed_expansion_check_fails_its_row(argv, capsys, monkeypatch):
+    # the row of alpha = 3 fails and names alpha and the check; the other
+    # rows keep their bytes, and the report prints with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    [good] = json.loads(out)["reports"]
+    break_member_three(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    [report] = json.loads(out)["reports"]
+    assert report["rows"][3] == {
+        "alpha": 3,
+        "error": "member alpha=3: coefficient recurrence produced a non-integer",
+        "valuation_lhs": None,
+        "valuation_rhs": good["rows"][3]["valuation_rhs"],
+        "pass": False,
+    }
+    assert report["rows"][:3] + report["rows"][4:] == good["rows"][:3] + good["rows"][4:]
+    assert report["pass"] is False
+    if report["claim"] == "claim1-disc":
+        assert report["restricted_family_verdict"] == "inconclusive"
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and err == ""
+    header, *lines = out.splitlines()
+    assert "error" in header.split(",") and len(lines) == 6
 
 
 # argvs whose reports read a member's degree or Gauss valuation, per backend
@@ -222,6 +262,20 @@ def test_series_center_disc_runs_to_the_default_alpha():
     full, short = reports
     assert len(full["rows"]) == 11
     assert full["rows"][:6] == short["rows"]
+
+
+@pytest.mark.parametrize("backend", ["p=3", "p=7"])
+def test_disc_of_huge_radius_builds_no_power_of_p(backend):
+    # the fold checks r against the value group without building p^r;
+    # building 3^(10^7) and 7^(10^7) once per alpha took 35 s and 78 s
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", "counterexample", "claim1",
+                           "--backend", backend, "--mode", "disc", "--center", "1",
+                           "--radius-valuation", "10000000", "--alpha-max", "10"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    [disc] = json.loads(proc.stdout)["reports"]
+    assert disc["restricted_family_verdict"] == "decreasing-witnessed"
 
 
 def test_large_prime_backend_runs():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -11,7 +12,6 @@ from nadops.affinoid import Hole, SparsePoly
 from nadops.counterexample import (
     CosetRepScheme,
     RepProductFamily,
-    _Expansion,
     _linear_power_product,
     cycling_scheme,
     default_scheme,
@@ -71,15 +71,18 @@ def expansion_on_subdisc(fam: RepProductFamily, alpha: int, c: Fraction,
     expansion = fam._expansion(alpha, c)
     return SparsePoly(field, 1, {
         (j,): field.from_rational(Fraction(value, expansion.lead)) * sigma ** j
-        for j, value in enumerate(expansion.numerators, start=expansion.shift)
+        for j, value in zip(count(expansion.shift, expansion.step), expansion.numerators)
         if value})
 
 
 def expand(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
-    """The streamed expansion written out as ascending coefficients."""
+    """The streamed expansion written out as ascending coefficients:
+    numerator k is the coefficient of x^(shift + step k)."""
     expansion = _linear_power_product(roots)
-    return [Fraction(0)] * expansion.shift + [
-        Fraction(c, expansion.lead) for c in expansion.numerators]
+    out: list[Fraction] = []
+    for j, c in zip(count(expansion.shift, expansion.step), expansion.numerators):
+        out += [Fraction(0)] * (j - len(out)) + [Fraction(c, expansion.lead)]
+    return out
 
 
 def two_loop_linear_power_product(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
@@ -203,8 +206,34 @@ ROOTS = st.lists(
 
 
 @given(ROOTS)
+# mu and -mu at different multiplicities: the product is not even
+@example([(Fraction(1), 2), (Fraction(-1), 3)])
+@example([(Fraction(0), 1), (Fraction(3, 2), 4), (Fraction(-3, 2), 1), (Fraction(2), 2)])
 def test_folded_recurrence_matches_two_loop_recurrence(roots):
     # non-integer roots, repeats and a root at 0 all come up in the draw
+    assert expand(roots) == two_loop_linear_power_product(roots)
+
+
+@st.composite
+def symmetric_roots(draw):
+    """Pairs +-mu of one multiplicity, mu rational with denominator 1-4,
+    with or without a root at 0, listed in a shuffled order."""
+    pairs = draw(st.lists(st.tuples(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+                                    st.integers(1, 6)), min_size=1, max_size=4))
+    roots = [(sign * mu, e) for mu, e in pairs for sign in (1, -1)]
+    zero = draw(st.integers(0, 6))
+    if zero:
+        roots.append((Fraction(0), zero))
+    return draw(st.permutations(roots))
+
+
+@given(symmetric_roots())
+@example([(Fraction(1, 2), 3), (Fraction(-1, 2), 3)])
+@example([(Fraction(3, 4), 2), (Fraction(0), 5), (Fraction(-3, 4), 2), (Fraction(2), 1),
+          (Fraction(-2), 1)])
+def test_even_expansion_matches_two_loop_recurrence(roots):
+    # an even product streams its coefficients of even degree, in x^2
+    assert _linear_power_product(roots).step == 2
     assert expand(roots) == two_loop_linear_power_product(roots)
 
 
@@ -358,34 +387,51 @@ def test_family_is_the_fold_of_member(scheme):
 
 @settings(deadline=None)
 @given(st.sampled_from(SCHEMES), st.integers(0, 8))
+# p=2 at odd alpha: the center of symmetry 1/2 is not integral
+@example(SCHEMES[0], 3)
+# even members: Hahn about alpha/2 at even and odd alpha, p=3 about 1
+@example(SCHEMES[3], 4)
+@example(SCHEMES[3], 5)
+@example(SCHEMES[1], 5)
 def test_fold_matches_member(scheme, alpha):
-    # the fold reads the unit disc about the median representative; member
-    # is the expansion about 0
+    # the fold reads the unit disc about the representatives' integral
+    # center of symmetry, or their median; member is the expansion about 0
     fam = RepProductFamily(scheme)
     xi = fam.member(alpha)
     assert fam._degree_and_gauss(alpha) == (xi.degree(), xi.gauss_valuation())
 
 
 def test_claim2_fold_about_the_median_streams_fewer_numerators():
-    # about lambda_m = 8, Hahn member(16) is y^256 prod_k (y^2 - k^2)^256,
-    # an even polynomial: 2,049 of its 4,097 streamed numerators are
-    # nonzero, against all 4,097 about 0
-    nonzero = []
+    # the fold takes the representatives' integral center of symmetry and
+    # streams the even member in y^2, where no numerator is 0
+    numerators = []
 
     def counting(roots):
         expansion = _linear_power_product(roots)
 
-        def numerators():
+        def counted():
             for value in expansion.numerators:
-                nonzero.append(value != 0)
+                numerators.append(value)
                 yield value
-        return _Expansion(expansion.shift, expansion.lead, numerators())
+        return expansion._replace(numerators=counted())
 
-    fam = RepProductFamily(integer_scheme(HAHN))
-    with mock.patch.object(counterexample, "_linear_power_product", counting):
-        degree, gauss = fam._degree_and_gauss(16)
-    assert (degree, gauss) == (fam.member_expected_degree(16), NormValue.of(0))
-    assert sum(nonzero) <= 2100, f"{sum(nonzero)} nonzero numerators of {len(nonzero)}"
+    for scheme, alpha, streamed in [
+        # about 8, Hahn member(16) is y^256 prod_k (y^2 - k^2)^256: 2,049
+        # numerators, against 4,097 in y about the median
+        (integer_scheme(HAHN), 16, 2049),
+        # about 17/2, a Hahn unit, member(17) is prod over k = 1..9 of
+        # (y^2 - (k - 1/2)^2)^289: 2,602, against 5,203 about the median
+        (integer_scheme(HAHN), 17, 2602),
+        # about 1, p=3 member(11) is y^484 (y^2 - 1)^484: 485
+        (cycling_scheme(P3), 11, 485),
+    ]:
+        numerators.clear()
+        fam = RepProductFamily(scheme)
+        with mock.patch.object(counterexample, "_linear_power_product", counting):
+            degree, gauss = fam._degree_and_gauss(alpha)
+        assert (degree, gauss) == (fam.member_expected_degree(alpha), NormValue.of(0))
+        assert len(numerators) == streamed, (scheme.name, alpha)
+        assert all(numerators)
 
 
 @settings(deadline=None, max_examples=150)
@@ -394,6 +440,8 @@ def test_claim2_fold_about_the_median_streams_fewer_numerators():
 @example((SCHEMES[0], 2, Fraction(1, 2), Fraction(1)))
 @example((SCHEMES[1], 2, Fraction(-4, 3), Fraction(2)))
 @example((SCHEMES[4], 3, Fraction(1, 2), Fraction(3, 2)))
+# the first nonzero numerator term (12) lies above the least (4)
+@example((SCHEMES[0], 2, Fraction(-7), Fraction(1)))
 # the unit disc about an integral center off the median, and about a
 # center that is not integral, which the fold must not move
 @example((SCHEMES[1], 4, Fraction(7), Fraction(0)))

@@ -103,10 +103,29 @@ SERIES_DISC_ARGV = ["counterexample", "claim1", "--backend", "hahn", "--mode", "
                     "--center", "2*t^(0) + 1*t^(1/2)", "--radius-valuation", "3/2",
                     "--alpha-max", "5"]
 
+# claim 2 on every backend and scheme: the p=2 members are folded about
+# their median, the others about their center of symmetry, in x^2
+CLAIM2_ARGVS = [
+    ["counterexample", "claim2", "--backend", "p=2", "--alpha-max", "24"],
+    ["counterexample", "claim2", "--backend", "hahn", "--alpha-max", "17"],
+    ["counterexample", "claim2", "--backend", "hahn", "--scheme", "rational", "--alpha-max", "9"],
+    ["counterexample", "claim2", "--backend", "p=3", "--alpha-max", "11"],
+    ["counterexample", "claim2", "--backend", "p=5", "--alpha-max", "9"],
+]
+
+# claim 1 on discs about which the representatives are symmetric, so the
+# members are even there too
+SYMMETRIC_DISC_ARGVS = [
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "2",
+     "--radius-valuation", "2", "--alpha-max", "10"],
+    ["counterexample", "claim1", "--backend", "p=3", "--mode", "disc", "--center", "1",
+     "--radius-valuation", "2", "--alpha-max", "8"],
+]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
-# reports (norms also on the default domain), the claim-1 discs and the
-# series-center disc;
+# reports (norms also on the default domain), the claim-1 discs, the
+# series-center disc, claim 2 and the symmetric discs;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -160,6 +179,20 @@ PINNED_SHA256 = {
         "ca219a8590d1c9d260d8caf7a995b2d6b41ef18bb9e2b63c0b22ce7fdb40d4b5",
     tuple(DEFAULT_DOMAIN_ARGVS[2]):
         "a5b0906766c186c6f67381dc3b69f605140443b547f822d45b771e72a0e05027",
+    tuple(CLAIM2_ARGVS[0]):
+        "4a305feb748c632adcfe77b1f9a38b174b14316ca470b42019f69b86a1194c4a",
+    tuple(CLAIM2_ARGVS[1]):
+        "e2de21ea07b38d9ddb3feb6da63c87143bdca0781df2af80070dedeeedd89ead",
+    tuple(CLAIM2_ARGVS[2]):
+        "2ff5a5d2c74ae487f811eb9f90d40202dbd67b7f8bd21cfa92e56e420ad0ad62",
+    tuple(CLAIM2_ARGVS[3]):
+        "ce694b48e1512287cf0af4a1fa0e739b0963ea14ebe61024e7d35a21ff4e1765",
+    tuple(CLAIM2_ARGVS[4]):
+        "4d13dfa2ba8de71982dcdc77db8d7eaddff24e61fc3965c872e7b445e89d92a9",
+    tuple(SYMMETRIC_DISC_ARGVS[0]):
+        "6c8782200b4c76a856aa6f983127a0d8d61b1b31b20f1758e115f2112fadfc88",
+    tuple(SYMMETRIC_DISC_ARGVS[1]):
+        "e3d62de519ae694fb6ee3dfc37357b00b7f4a37497153248bb064b5db9670642",
 }
 
 
@@ -189,6 +222,8 @@ def test_no_assert_statements(name):
     *OPERATOR_ARGVS,
     SERIES_DISC_ARGV,
     *DEFAULT_DOMAIN_ARGVS,
+    *CLAIM2_ARGVS,
+    *SYMMETRIC_DISC_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():

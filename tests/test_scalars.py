@@ -275,6 +275,16 @@ def test_padic_element_of_valuation_rejects_fractions():
         P2.element_of_valuation(Fraction(1, 2))
 
 
+def test_check_valuation_is_the_value_group_check():
+    # the check element_of_valuation runs, without building p^v
+    assert P2.check_valuation(10**9) == Fraction(10**9)
+    assert HAHN.check_valuation(Fraction(-3, 7)) == Fraction(-3, 7)
+    message = "valuation 1/2 is not in the value group Z of the p-adic backend"
+    for check in (P2.check_valuation, P2.element_of_valuation):
+        with pytest.raises(ValueError, match=message):
+            check(Fraction(1, 2))
+
+
 def test_legendre_factorial_examples():
     assert P2.factorial_valuation(4) == 3
     assert P2.factorial_valuation(10) == 8
