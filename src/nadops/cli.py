@@ -4,10 +4,12 @@ machine-readable output.
 Every command prints one JSON document (or its flattened CSV rows) and exits
 0 exactly when every reported check passed, 1 when a check ran and failed,
 and 2 with a one-line error on bad input, including input that leaves no
-check to run.  A check that fails inside a computation, before its row
-exists, prints one 'error: check failed: ...' line and exits 1.  Reports
-never contain timestamps or environment details and all randomness flows
-through --seed, so a rerun with the same arguments is byte-identical.
+check to run.  A check that fails inside a computation fails the row it
+belongs to (a claim's alpha, a classified family), and the report still
+prints; one outside every row would print one 'error: check failed: ...'
+line and exit 1.  Reports never contain timestamps or environment details
+and all randomness flows through --seed, so a rerun with the same
+arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -147,7 +149,14 @@ def _cmd_classify(args) -> tuple[dict, list[dict]]:
     field = backend_from_name(args.backend)
     rows = []
     for name, family, expected in _worked_families(field):
-        verdict = classify_rapid_decay(family, r_max=args.r_max, index_cap=args.index_cap)
+        # a member whose fold fails an exact check fails its family's row;
+        # the other families still run
+        try:
+            verdict = classify_rapid_decay(family, r_max=args.r_max, index_cap=args.index_cap)
+        except CheckFailed as exc:
+            rows.append({"family": name, "verdict": None, "error": str(exc),
+                         "expected": expected, "pass": False})
+            continue
         rows.append({"family": name, "verdict": verdict,
                      "expected": expected, "pass": verdict == expected})
     report = {

@@ -17,7 +17,10 @@ and its coefficients are read off the resulting first-order recurrence.
 Each coefficient costs one big x small product per lag, s lags in all for
 s distinct nonzero roots: the two sums of the recurrence fold into one
 small-integer weight per lag.  That is O(degree * s) big-integer work
-instead of O(degree^2).
+instead of O(degree^2).  With one nonzero root (s = 1, as on p = 2 about
+the median) the product is a binomial row, and each numerator is the one
+before times one small weight, divided by one small divisor, with no
+window of lags.
 
 The recurrence is a stream: it yields the integer numerators over one
 leading denominator, lowest degree first, and keeps only the last s of
@@ -60,6 +63,22 @@ half the degree with half the lags.  Otherwise (always on p = 2, whose
 center 1/2 is not integral) it takes the median representative, about
 which the roots sit on both sides of 0 and are about half as large.  Each
 coefficient is still computed exactly and checked.
+
+Whatever the center, when the nonzero roots mu = lambda_beta - c share
+one denominator Q and Q is a unit, the fold multiplies them by Q and
+streams prod (y - Q mu)^e = Q^n member(c + y/Q), whose roots are
+integers, over lead 1: no numerator carries the powers of Q.  Its
+coefficient j is Q^(n - j) times that of member(c + y), a unit multiple,
+so the degree and every valuation v(c_j) + j r are unchanged.  A center
+c = a/b off the representatives gives every root the denominator b when
+the representatives are integers: about alpha/2 at odd alpha the Hahn
+roots are half-integers, cleared by 2; on a p-adic field b is a unit
+exactly when p does not divide it (p = 2 about 1/3, say), and a center
+such as 1/2 on p = 2 keeps Q = 1.  Roots with different denominators
+q_i (as on the Hahn rational scheme) are not scaled: by their lcm L,
+numerator k would carry L^(n - k) where the unscaled stream carries the
+lead prod q_i^e, and summed over k that is more bits as soon as L
+exceeds the square of the q_i's geometric mean.
 
 Claim 1's monomial side on a disc with a hole reads the same fold: the
 divided-power operator member(alpha) d^(alpha) sends x^delta to
@@ -263,30 +282,51 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
     # raises the divisor by a0.
     s = len(pairs)
     base = [B[j] + j * A[j + 1] for j in range(s)]
-    slope = A[1:]
-    a0 = A[0]
     c0 = 1
     lead = 1
     for p, q, e in pairs:
         c0 *= (-p) ** e
         lead *= q ** e
+    return _Expansion(shift, lead, _numerator_stream(c0, base, A, n, lead), step)
 
-    def numerators() -> Iterator[int]:
-        window = deque([c0], maxlen=s)  # c[k], c[k-1], ..., newest first
-        w, d = base, a0  # the weights and the divisor at k = 0
-        yield c0
+
+def _numerator_stream(c0: int, base: list[int], A: list[int], n: int,
+                      lead: int) -> Iterator[int]:
+    """c0 and the n numerators after it, from (k+1) A[0] c[k+1] = sum over
+    the s = len(base) lags j of (base[j] - k A[j+1]) c[k-j].
+
+    Each division is checked to be exact as its numerator is produced, and
+    the last numerator to equal lead when the stream ends; either failure
+    raises CheckFailed.  With one root (s = 1, A = q x - p) the numerators
+    are the binomial row c[k+1] = c[k] (e - k) q / ((k + 1) (-p)): one
+    weight and one product per step, with no window of lags.
+    """
+    a0 = A[0]
+    c = c0
+    yield c
+    if len(base) == 1:
+        w, d = base[0], a0  # the weight and the divisor at k = 0
         for _ in range(n):
-            quotient, remainder = divmod(sum(map(mul, w, window)), d)
+            c, remainder = divmod(c * w, d)
             if remainder:
                 raise CheckFailed("coefficient recurrence produced a non-integer")
-            window.appendleft(quotient)
-            yield quotient
+            yield c
+            w -= A[1]
+            d += a0
+    else:
+        slope = A[1:]
+        window = deque([c0], maxlen=len(base))  # c[k], c[k-1], ..., newest first
+        w, d = base, a0  # the weights and the divisor at k = 0
+        for _ in range(n):
+            c, remainder = divmod(sum(map(mul, w, window)), d)
+            if remainder:
+                raise CheckFailed("coefficient recurrence produced a non-integer")
+            window.appendleft(c)
+            yield c
             w = list(map(sub, w, slope))
             d += a0
-        if window[0] != lead:
-            raise CheckFailed("coefficient recurrence lost the leading term")
-
-    return _Expansion(shift, lead, numerators(), step)
+    if c != lead:
+        raise CheckFailed("coefficient recurrence lost the leading term")
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +343,17 @@ class RepProductFamily:
     def field(self) -> Field:
         return self.scheme.field
 
-    def _expansion(self, alpha: int, center: Fraction) -> _Expansion:
-        """member(alpha) at x = center + y: the roots move to lambda_beta - center."""
+    def _roots(self, alpha: int, center: Fraction) -> list[tuple[Fraction, int]]:
+        """member(alpha)'s roots at x = center + y: lambda_beta - center, each
+        of multiplicity alpha^2."""
         if alpha < 0:
             raise ValueError("family index must be a natural number")
-        return _linear_power_product([(self.scheme.rep_rational_fn(beta) - center, alpha * alpha)
-                                      for beta in range(alpha + 1)])
+        return [(self.scheme.rep_rational_fn(beta) - center, alpha * alpha)
+                for beta in range(alpha + 1)]
+
+    def _expansion(self, alpha: int, center: Fraction) -> _Expansion:
+        """member(alpha) at x = center + y."""
+        return _linear_power_product(self._roots(alpha, center))
 
     def member(self, alpha: int) -> SparsePoly:
         expansion = self._expansion(alpha, Fraction(0))
@@ -346,7 +391,10 @@ class RepProductFamily:
         alpha.  On the unit disc (r = 0) an integral center is replaced by
         the integral center the representatives are symmetric about, which
         makes the member even, else by the median representative; either
-        gives the same result exactly.
+        gives the same result exactly.  When the nonzero roots share one
+        denominator Q and Q is a unit, the roots are multiplied by Q, so the
+        stream is over lead 1: coefficient j moves by the unit Q^(n - j),
+        which keeps the degree and each valuation (module docstring).
         """
         if alpha < 0:
             raise ValueError("family index must be a natural number")
@@ -359,14 +407,13 @@ class RepProductFamily:
         if r == 0 and self._is_integral(c):
             # on the unit disc every integral center gives the same degree
             # and Gauss valuation; the center of symmetry makes the member
-            # even, else the median halves the roots (module docstring)
+            # even, else the median, an integral representative, halves the
+            # roots (module docstring)
             reps = sorted(self.scheme.rep_rational_fn(beta) for beta in range(alpha + 1))
-            middle = (reps[0] + reps[-1]) / 2
-            if not (self._is_integral(middle)
-                    and all(a + b == 2 * middle for a, b in zip(reps, reversed(reps)))):
-                middle = reps[alpha // 2]
-            if self._is_integral(middle):
-                c = middle
+            c = (reps[0] + reps[-1]) / 2
+            if not (self._is_integral(c)
+                    and all(a + b == 2 * c for a, b in zip(reps, reversed(reps)))):
+                c = reps[alpha // 2]
         if isinstance(self.field, PAdicField):
             p = self.field.p
 
@@ -376,10 +423,19 @@ class RepProductFamily:
             def valuation(n: int) -> int:
                 return 0  # a nonzero rational constant is a Hahn unit
 
+        # clear the roots' denominator when they share one and it is a unit:
+        # coefficient j moves by a unit power of it, and the stream is over
+        # lead 1 (module docstring)
+        roots = self._roots(alpha, c)
+        denominators = {mu.denominator for mu, _ in roots if mu}
+        scale = denominators.pop() if len(denominators) == 1 else 1
+        if not self._is_integral(Fraction(1, scale)):
+            scale = 1
+        expansion = _linear_power_product([(mu * scale, e) for mu, e in roots])
+
         # min over j of v(c_j) + j r, times r's denominator to stay in ints;
         # the stream ends on lead != 0, so some numerator is nonzero
         num, den = r.numerator, r.denominator
-        expansion = self._expansion(alpha, c)
         degree, least = -1, None
         try:
             for j, value in zip(count(expansion.shift, expansion.step), expansion.numerators):

@@ -132,13 +132,30 @@ def break_member_three(monkeypatch):
     monkeypatch.setattr(counterexample, "_linear_power_product", broken)
 
 
-def test_failed_expansion_check_exits_one_with_one_line(capsys, monkeypatch):
-    # classify has no per-alpha rows: a failed check is one line, exit 1
+def test_failed_expansion_check_fails_its_classify_row(capsys, monkeypatch):
+    # classify has no per-alpha rows: the family whose member failed its
+    # check fails its own row, and the other families keep theirs
+    code, out, err = run(capsys, "classify")
+    assert code == 0, err
+    good = json.loads(out)["rows"]
     break_member_three(monkeypatch)
     code, out, err = run(capsys, "classify")
-    assert code == 1 and out == ""
-    assert err == ("error: check failed: member alpha=3: "
-                   "coefficient recurrence produced a non-integer\n")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert [row["family"] for row in report["rows"]] == [row["family"] for row in good]
+    assert report["rows"][:3] == good[:3]
+    assert report["rows"][3] == {
+        "family": "rep-product",
+        "verdict": None,
+        "error": "member alpha=3: coefficient recurrence produced a non-integer",
+        "expected": good[3]["expected"],
+        "pass": False,
+    }
+    assert report["pass"] is False
+    code, out, err = run(capsys, "classify", "--format", "csv")
+    assert code == 1 and err == ""
+    header, *lines = out.splitlines()
+    assert "error" in header.split(",") and len(lines) == 4
 
 
 @pytest.mark.parametrize("argv", [

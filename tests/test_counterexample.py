@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nadops import counterexample
 from nadops.affinoid import Hole, SparsePoly
 from nadops.counterexample import (
+    CheckFailed,
     CosetRepScheme,
     RepProductFamily,
     _linear_power_product,
@@ -209,6 +210,11 @@ ROOTS = st.lists(
 # mu and -mu at different multiplicities: the product is not even
 @example([(Fraction(1), 2), (Fraction(-1), 3)])
 @example([(Fraction(0), 1), (Fraction(3, 2), 4), (Fraction(-3, 2), 1), (Fraction(2), 2)])
+# one nonzero root: the binomial row, with and without a shift, with a
+# denominator and with a negative root
+@example([(Fraction(3, 2), 5)])
+@example([(Fraction(0), 4), (Fraction(-1), 7)])
+@example([(Fraction(-5, 3), 6), (Fraction(0), 2), (Fraction(-5, 3), 1)])
 def test_folded_recurrence_matches_two_loop_recurrence(roots):
     # non-integer roots, repeats and a root at 0 all come up in the draw
     assert expand(roots) == two_loop_linear_power_product(roots)
@@ -231,10 +237,35 @@ def symmetric_roots(draw):
 @example([(Fraction(1, 2), 3), (Fraction(-1, 2), 3)])
 @example([(Fraction(3, 4), 2), (Fraction(0), 5), (Fraction(-3, 4), 2), (Fraction(2), 1),
           (Fraction(-2), 1)])
+# one pair +-mu: one root mu^2 in x^2, the binomial row, with a shift
+@example([(Fraction(2), 4), (Fraction(0), 3), (Fraction(-2), 4)])
+@example([(Fraction(-7, 3), 5), (Fraction(7, 3), 5)])
 def test_even_expansion_matches_two_loop_recurrence(roots):
     # an even product streams its coefficients of even degree, in x^2
     assert _linear_power_product(roots).step == 2
     assert expand(roots) == two_loop_linear_power_product(roots)
+
+
+# the recurrence's inputs for (x - 2)^3, one root, and for (x - 1)(x + 2),
+# two roots: (c0, base, A, n, numerators)
+STREAMS = {"one-root": (-8, [3], [-2, 1], 3, [-8, 12, -6, 1]),
+           "two-roots": (-2, [1, 3], [-2, 1, 1], 2, [-2, 1, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_numerator_stream_checks_each_division_and_the_lead(name):
+    c0, base, A, n, numerators = STREAMS[name]
+    assert list(counterexample._numerator_stream(c0, base, A, n, 1)) == numerators
+    # a wrong leading term fails when the stream ends, after every numerator
+    stream = counterexample._numerator_stream(c0, base, A, n, 2)
+    assert [next(stream) for _ in range(n + 1)] == numerators
+    with pytest.raises(CheckFailed, match="lost the leading term"):
+        next(stream)
+    # c0 one off makes the first division inexact, which fails at once
+    stream = counterexample._numerator_stream(c0 + 1, base, A, n, 1)
+    assert next(stream) == c0 + 1
+    with pytest.raises(CheckFailed, match="non-integer"):
+        next(stream)
 
 
 def test_folded_recurrence_matches_two_loop_on_family_roots():
@@ -403,11 +434,14 @@ def test_fold_matches_member(scheme, alpha):
 
 def test_claim2_fold_about_the_median_streams_fewer_numerators():
     # the fold takes the representatives' integral center of symmetry and
-    # streams the even member in y^2, where no numerator is 0
-    numerators = []
+    # streams the even member in y^2, where no numerator is 0; it clears the
+    # roots' unit denominators, so every stream is over lead 1, and a
+    # member with one nonzero root streams the binomial row (one lag)
+    numerators, leads, lags = [], [], []
 
     def counting(roots):
         expansion = _linear_power_product(roots)
+        leads.append(expansion.lead)
 
         def counted():
             for value in expansion.numerators:
@@ -415,23 +449,57 @@ def test_claim2_fold_about_the_median_streams_fewer_numerators():
                 yield value
         return expansion._replace(numerators=counted())
 
-    for scheme, alpha, streamed in [
+    def spying(c0, base, A, n, lead):
+        lags.append(len(base))
+        return stream(c0, base, A, n, lead)
+
+    stream = counterexample._numerator_stream
+    for scheme, alpha, streamed, lag_count in [
         # about 8, Hahn member(16) is y^256 prod_k (y^2 - k^2)^256: 2,049
         # numerators, against 4,097 in y about the median
-        (integer_scheme(HAHN), 16, 2049),
+        (integer_scheme(HAHN), 16, 2049, 8),
         # about 17/2, a Hahn unit, member(17) is prod over k = 1..9 of
-        # (y^2 - (k - 1/2)^2)^289: 2,602, against 5,203 about the median
-        (integer_scheme(HAHN), 17, 2602),
-        # about 1, p=3 member(11) is y^484 (y^2 - 1)^484: 485
-        (cycling_scheme(P3), 11, 485),
+        # (y^2 - (k - 1/2)^2)^289: 2,602, against 5,203 about the median;
+        # its roots clear by the unit 2, so the lead is 1, not 4^(9 * 289)
+        (integer_scheme(HAHN), 17, 2602, 9),
+        # about 1, p=3 member(11) is y^484 (y^2 - 1)^484: 485, one root in y^2
+        (cycling_scheme(P3), 11, 485, 1),
+        # about its median 0, p=2 member(6) is y^144 (y - 1)^108: 109
+        (cycling_scheme(P2), 6, 109, 1),
     ]:
         numerators.clear()
+        leads.clear()
+        lags.clear()
         fam = RepProductFamily(scheme)
-        with mock.patch.object(counterexample, "_linear_power_product", counting):
+        with mock.patch.object(counterexample, "_linear_power_product", counting), \
+                mock.patch.object(counterexample, "_numerator_stream", spying):
             degree, gauss = fam._degree_and_gauss(alpha)
         assert (degree, gauss) == (fam.member_expected_degree(alpha), NormValue.of(0))
         assert len(numerators) == streamed, (scheme.name, alpha)
         assert all(numerators)
+        assert (leads, lags) == ([1], [lag_count]), (scheme.name, alpha)
+
+
+def test_fold_scales_only_a_common_unit_denominator():
+    # about 1/2 the integer scheme's roots all have the unit denominator 2,
+    # so they stream over lead 1; the rational scheme's have different
+    # denominators, so they stream unscaled, over the lead about 1/2
+    leads = []
+
+    def spying(roots):
+        expansion = _linear_power_product(roots)
+        leads.append(expansion.lead)
+        return expansion
+
+    half = HAHN.from_rational(Fraction(1, 2))
+    unscaled = RepProductFamily(rational_scheme(HAHN))._expansion(4, Fraction(1, 2)).lead
+    assert unscaled != 1
+    for scheme, lead in [(integer_scheme(HAHN), 1), (rational_scheme(HAHN), unscaled)]:
+        leads.clear()
+        fam = RepProductFamily(scheme)
+        with mock.patch.object(counterexample, "_linear_power_product", spying):
+            fam._degree_and_gauss(4, half, Fraction(1, 2))
+        assert leads == [lead], scheme.name
 
 
 @settings(deadline=None, max_examples=150)
@@ -454,6 +522,14 @@ def test_claim2_fold_about_the_median_streams_fewer_numerators():
 @example((SCHEMES[3], 3, HAHN.from_terms([(0, 1), (2, -3)]), Fraction(4, 3)))
 @example((SCHEMES[4], 3, HAHN.from_terms([(0, Fraction(1, 2)), (Fraction(1, 3), 2),
                                           (1, 1), (Fraction(5, 3), -1)]), Fraction(2, 3)))
+# centers whose roots' denominators are units, which the fold clears: p=2
+# about 1/3, p=3 about 1/2, Hahn about -5/3 and about a series center with
+# constant term 1/2, on the integer scheme whose roots all clear by 2
+@example((SCHEMES[0], 3, Fraction(1, 3), Fraction(2)))
+@example((SCHEMES[1], 4, Fraction(1, 2), Fraction(1)))
+@example((SCHEMES[3], 3, Fraction(-5, 3), Fraction(2, 3)))
+@example((SCHEMES[3], 3, HAHN.from_terms([(0, Fraction(1, 2)), (Fraction(1, 3), 1)]),
+          Fraction(1, 2)))
 def test_fold_matches_member_on_subdisc(case):
     # a series center is folded as its constant term at radius valuation
     # min(r, v(s)); the generic and the factor-by-factor rescales build the

@@ -122,10 +122,25 @@ SYMMETRIC_DISC_ARGVS = [
      "--radius-valuation", "2", "--alpha-max", "8"],
 ]
 
+# discs about fractional centers whose denominators are units: the fold
+# clears them and streams over lead 1 (on Hahn also about a series center
+# with constant term 1/2, folded about 1/2 at radius valuation 1/3)
+UNIT_DENOMINATOR_DISC_ARGVS = [
+    ["counterexample", "claim1", "--backend", "p=2", "--mode", "disc", "--center", "1/3",
+     "--radius-valuation", "2"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1/2",
+     "--radius-valuation", "1/2", "--alpha-max", "6"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc", "--center", "1/2",
+     "--radius-valuation", "1/2", "--alpha-max", "6", "--scheme", "rational"],
+    ["counterexample", "claim1", "--backend", "hahn", "--mode", "disc",
+     "--center", "1/2*t^(0) + 1*t^(1/3)", "--radius-valuation", "1/2", "--alpha-max", "6"],
+]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
 # reports (norms also on the default domain), the claim-1 discs, the
-# series-center disc, claim 2 and the symmetric discs;
+# series-center disc, claim 2, the symmetric discs and the discs about
+# unit-denominator centers;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -193,6 +208,14 @@ PINNED_SHA256 = {
         "6c8782200b4c76a856aa6f983127a0d8d61b1b31b20f1758e115f2112fadfc88",
     tuple(SYMMETRIC_DISC_ARGVS[1]):
         "e3d62de519ae694fb6ee3dfc37357b00b7f4a37497153248bb064b5db9670642",
+    tuple(UNIT_DENOMINATOR_DISC_ARGVS[0]):
+        "8bc40274de98128c9c92724c43bf0b6bd80c1a2487a6dc6d4cef0b24c045e1de",
+    tuple(UNIT_DENOMINATOR_DISC_ARGVS[1]):
+        "acab52720f196a3c69039b2bbf128ac73d2a08db8e4cec5484a1ffc9e684a741",
+    tuple(UNIT_DENOMINATOR_DISC_ARGVS[2]):
+        "0ed5ffaa3a89bf07cac05b9d7b48dcc77b28dc8786cf49f59129d14c0ecf9127",
+    tuple(UNIT_DENOMINATOR_DISC_ARGVS[3]):
+        "b6757a30ac44659244b132cf761d8e89220368eb85f28560b334c9755808996b",
 }
 
 
@@ -224,6 +247,7 @@ def test_no_assert_statements(name):
     *DEFAULT_DOMAIN_ARGVS,
     *CLAIM2_ARGVS,
     *SYMMETRIC_DISC_ARGVS,
+    *UNIT_DENOMINATOR_DISC_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():
