@@ -3,8 +3,10 @@
 A function on a polydisc is represented at truncation level by a sparse
 multivariate polynomial: a mapping from exponent tuples to nonzero Scalars.
 That makes the Gauss norm (the minimum coefficient valuation) exact, and the
-sup norm over any sub-polydisc exact as well: substitute x = c + sigma*y and
-take the Gauss norm of the result.
+sup norm over any sub-polydisc exact as well: translate x = c + y, and weigh
+each coefficient f_gamma of the result by the radii, min over gamma of
+v(f_gamma) + sum_i gamma_i r_i.  The radius is a weight, so no element of
+valuation r is ever built.
 
 Multi-indices are plain tuples of naturals; the helpers here are the only
 place componentwise order, factorials and binomials are spelled out.
@@ -23,6 +25,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import Field, NormValue, Rational, Scalar, parse_scalar
 
@@ -236,6 +239,16 @@ class SparsePoly:
         """
         return NormValue(self.field.min_valuation([c.q for c in self.coeffs.values()]))
 
+    def weighted_valuation(self, weights: tuple[int, ...], denominator: int) -> NormValue:
+        """min over gamma of v(f_gamma) + sum_i gamma_i w_i / denominator: the sup
+        valuation of f on the polydisc about the origin of radius valuations
+        r_i = w_i / denominator (Polydisc.weights), since f(sigma y) with
+        v(sigma_i) = r_i has the coefficients f_gamma sigma^gamma."""
+        return NormValue(self.field.min_valuation(
+            [c.q for c in self.coeffs.values()],
+            [sum(map(operator.mul, exponent, weights)) for exponent in self.coeffs],
+            denominator))
+
     # -- substitution ----------------------------------------------------------
 
     def substitute_affine(self, center: tuple[Scalar, ...], scales: tuple[Scalar, ...]) -> "SparsePoly":
@@ -319,9 +332,9 @@ class Polydisc:
     """Closed polydisc inside the unit polydisc: center c, radii |pi|-powers.
 
     Radii are stored as plain radius valuations (nonnegative rationals); the
-    radius itself is the norm of any element of that valuation.  The p-adic
-    value group is Z, so fractional radii are only meaningful on the Hahn
-    backend; element_of_valuation enforces that at rescale time.
+    radius itself is the norm of any element of that valuation.  Each radius
+    valuation must lie in the backend's value group: the p-adic value group
+    is Z, so fractional radii are only meaningful on the Hahn backend.
     """
 
     center: tuple[Scalar, ...]
@@ -336,6 +349,14 @@ class Polydisc:
         for r in self.radius_valuations:
             if r < 0:
                 raise ValueError("radius valuation must be >= 0 (radius <= 1)")
+            self.field.check_valuation(r)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], int]:
+        """The radius valuations over their common denominator L: (w, L) with
+        r_i = w_i / L, the arguments of SparsePoly.weighted_valuation."""
+        L = math.lcm(*(r.denominator for r in self.radius_valuations))
+        return tuple(r.numerator * (L // r.denominator) for r in self.radius_valuations), L
 
     @property
     def dim(self) -> int:
@@ -385,13 +406,14 @@ def rescale_to_subdisc(f: SparsePoly, center: tuple[Scalar, ...],
 
 
 def sup_norm(f: SparsePoly, domain: Polydisc) -> NormValue:
-    """Exact sup norm of f over the polydisc, in valuation form: rescale to
-    the unit polydisc and take the Gauss norm."""
+    """Exact sup norm of f over the polydisc, in valuation form: translate
+    to its center and weigh each coefficient by the radii."""
     if f.dim != domain.dim:
         raise ValueError("dimension mismatch between function and domain")
     if f.field != domain.field:
         raise ValueError("function and domain use different backends")
-    return rescale_to_subdisc(f, domain.center, domain.radius_valuations).gauss_valuation()
+    moved = f.substitute_affine(domain.center, (f.field.one(),) * f.dim)
+    return moved.weighted_valuation(*domain.weights)
 
 
 # ---------------------------------------------------------------------------

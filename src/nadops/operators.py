@@ -11,9 +11,10 @@ at a stated order.  Everything here is exact:
     that recovery is exact on a concrete operator;
   * the norm bracket computes the operator norm on a polydisc from the
     monomial images and from the coefficients, and the two sides are equal:
-    conjugated to the unit polydisc, alpha! b_alpha is an integer
+    in the unit polydisc's coordinates, alpha! b_alpha is an integer
     combination of the images P y^beta with |beta| <= |alpha|, so the
-    coefficient norm and the norm as an endomorphism are one number;
+    coefficient norm and the norm as an endomorphism are one number; both
+    sides are read after one translation, with the radii as weights;
   * the decay report reads one sup valuation per coefficient on a small
     subdisc, and takes the operator norm there from those same valuations.
 
@@ -375,24 +376,20 @@ def radius_seminorm(P: DiffOperator, radius_valuation: Rational) -> NormValue:
     return best
 
 
-def _conjugate_to_unit_disc(P: DiffOperator, domain: Polydisc) -> tuple[DiffOperator, dict]:
-    """Rewrite P in the coordinates of the unit polydisc over ``domain``,
+def _translate_to_center(P: DiffOperator, domain: Polydisc) -> tuple[DiffOperator, dict]:
+    """Rewrite P in the coordinates y = x - c about the center of ``domain``,
     and read off the sup valuation of each plain coefficient on ``domain``.
 
-    x = c + sigma y turns d/dx_i into sigma_i^{-1} d/dy_i, so the plain
-    coefficient at alpha becomes a_alpha(c + sigma y) * sigma^{-alpha}.
-    The Gauss valuation of a_alpha(c + sigma y) is the sup valuation of
-    a_alpha on ``domain``, so one substitution per coefficient gives both.
+    d/dx_i = d/dy_i, so the plain coefficient at alpha becomes a_alpha(c + y).
+    Its valuation weighted by the radii is the sup valuation of a_alpha on
+    ``domain``, so one substitution per coefficient gives both.
     """
-    field, radii = P.field, domain.radius_valuations
-    scales = tuple(field.element_of_valuation(r) for r in radii)
+    field = P.field
+    ones = (field.one(),) * P.dim
     coeffs, sups = {}, {}
     for alpha in P.coeffs:
-        moved = P.plain_coefficient(alpha).substitute_affine(domain.center, scales)
-        sups[alpha] = moved.gauss_valuation()
-        # each scale is p^r or t^r, so sigma^-alpha is the element of valuation -shift
-        shift = sum(power * r for power, r in zip(alpha, radii))
-        coeffs[alpha] = moved.scale(field.element_of_valuation(-shift))
+        moved = coeffs[alpha] = P.plain_coefficient(alpha).substitute_affine(domain.center, ones)
+        sups[alpha] = moved.weighted_valuation(*domain.weights)
     return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False), sups
 
 
@@ -402,8 +399,9 @@ def _coefficient_side(field: Field, radii: tuple[Fraction, ...],
     alpha, sup_alpha - sum_i alpha_i r_i + v(alpha!).
 
     sup_alpha is the sup valuation of a_alpha on the polydisc of radius
-    valuations r.  Conjugated to the unit polydisc, the coefficient b_alpha
-    has Gauss valuation sup_alpha - sum_i alpha_i r_i, and d^alpha = alpha!
+    valuations r.  In the unit polydisc's coordinates x = c + sigma y, the
+    coefficient b_alpha = a_alpha(c + sigma y) sigma^-alpha has Gauss
+    valuation sup_alpha - sum_i alpha_i r_i, and d^alpha = alpha!
     d^(alpha) with divided powers of norm at most one there, so each value
     is the valuation of the bound |alpha!| |b_alpha|.
     """
@@ -419,11 +417,15 @@ def _norm_bracket_terms(P: DiffOperator,
     a_alpha on ``domain`` and the coefficient side's value at each alpha."""
     if P.dim != domain.dim:
         raise ValueError("operator and domain dimensions differ")
-    conj, sups = _conjugate_to_unit_disc(P, domain)
+    moved, sups = _translate_to_center(P, domain)
+    weights, denominator = domain.weights
     lower = NormValue.infinite()
     for delta in mi_up_to_total(P.dim, P.order):
-        image = apply_operator(conj, SparsePoly.monomial(P.field, P.dim, delta))
-        lower = min(lower, image.gauss_valuation())
+        image = apply_operator(moved, SparsePoly.monomial(P.field, P.dim, delta))
+        # the sup valuation of P y^delta less that of y^delta on the polydisc
+        shift = sum(map(operator.mul, delta, weights))
+        lower = min(lower, image.weighted_valuation(weights, denominator)
+                    + NormValue(Fraction(-shift, denominator)))
     upper, terms = _coefficient_side(P.field, domain.radius_valuations, sups)
     return lower, upper, sups, terms
 
@@ -432,15 +434,19 @@ def operator_norm_bracket(P: DiffOperator, domain: Polydisc) -> tuple[NormValue,
     """The operator norm of P on a polydisc, from its action and from its
     coefficients; the two sides are equal.
 
-    Returns (lower, upper) in valuation form.  After conjugating to the
-    unit polydisc, with b_alpha the plain coefficients there, lower is the
-    least Gauss valuation of P y^delta over |delta| <= order, and upper the
-    least v(alpha!) + v(b_alpha) (_coefficient_side).  lower >= upper since
-    d^alpha y^delta = alpha! C(delta, alpha) y^(delta - alpha), and upper >=
-    lower since alpha! b_alpha = sum over beta <= alpha of C(alpha, beta)
-    (-y)^(alpha - beta) P y^beta, an integer combination of monomial images.
-    So the coefficient norm of P and its norm as an endomorphism are one
-    number.
+    Returns (lower, upper) in valuation form.  In the unit polydisc's
+    coordinates x = c + sigma y, with b_alpha the plain coefficients there,
+    lower is the least Gauss valuation of P y^delta over |delta| <= order,
+    and upper the least v(alpha!) + v(b_alpha) (_coefficient_side).  lower
+    >= upper since d^alpha y^delta = alpha! C(delta, alpha) y^(delta -
+    alpha), and upper >= lower since alpha! b_alpha = sum over beta <= alpha
+    of C(alpha, beta) (-y)^(alpha - beta) P y^beta, an integer combination
+    of monomial images.  So the coefficient norm of P and its norm as an
+    endomorphism are one number.
+
+    Neither side builds sigma: with P_c the translation of P to the center,
+    P y^delta = sigma^-delta (P_c y^delta)(sigma y), whose Gauss valuation
+    is the weighted valuation of P_c y^delta less sum_i delta_i r_i.
     """
     lower, upper, _, _ = _norm_bracket_terms(P, domain)
     return lower, upper

@@ -30,7 +30,9 @@ Besides add, mul, neg and div, each field has two kernels for callers that
 hold a rational weight or a whole polynomial's coefficients: ``times(q, r)``
 multiplies a value by a rational pair r (a Hahn series scales its
 coefficients only, with no exponent sums), and ``min_valuation(values)`` is
-the least valuation over many values, built as one Fraction at the end.
+the least valuation over many values, each optionally raised by an integer
+weight over a common denominator, compared as integers and built as one
+Fraction at the end.
 
 The internal form lives in the Scalar's ``q`` slot.  ``Scalar.payload`` is
 a read-only view of it in the documented layout: a Fraction for a p-adic
@@ -49,6 +51,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -324,18 +327,21 @@ class PAdicField:
             return None
         return Fraction(_int_valuation(n, self.p) - _int_valuation(d, self.p))
 
-    def min_valuation(self, values: Iterable[_Q]) -> Fraction | None:
-        """The least valuation over the values; None when all are zero or there are none."""
+    def min_valuation(self, values: Iterable[_Q], weights: Iterable[int] | None = None,
+                      denominator: int = 1) -> Fraction | None:
+        """The least v(q) + w / denominator over the values q and their integer
+        weights w (0 without weights), compared as integers; None when all are
+        zero or there are none."""
         p = self.p
         best = None
-        for n, d in values:
+        for (n, d), w in zip(values, repeat(0) if weights is None else weights):
             if not n:
                 continue
             # n and d are coprime, so p divides at most one of them
-            v = _int_valuation(n, p) if d % p else -_int_valuation(d, p)
+            v = (_int_valuation(n, p) if d % p else -_int_valuation(d, p)) * denominator + w
             if best is None or v < best:
                 best = v
-        return None if best is None else Fraction(best)
+        return None if best is None else Fraction(best, denominator)
 
     def to_text(self, q: _Q) -> str:
         return f"{q[0]}/{q[1]}@{self.p}"
@@ -502,13 +508,17 @@ class HahnField:
         return Fraction(*q[0][0])  # support is sorted, valuation is the least exponent
 
     @staticmethod
-    def min_valuation(values: Iterable[HahnPayload]) -> Fraction | None:
-        """The least valuation over the values; None when all are zero or there are none."""
+    def min_valuation(values: Iterable[HahnPayload], weights: Iterable[int] | None = None,
+                      denominator: int = 1) -> Fraction | None:
+        """The least v(q) + w / denominator over the values q and their integer
+        weights w (0 without weights), compared as integers; None when all are
+        zero or there are none."""
         best = None
-        for q in values:
+        for q, w in zip(values, repeat(0) if weights is None else weights):
             if not q:
                 continue
-            e = q[0][0]
+            n, d = q[0][0]  # v(q) + w / denominator, as one integer pair
+            e = (n * denominator + w * d, d * denominator)
             # e < best, as denominators are positive
             if best is None or e[0] * best[1] < best[0] * e[1]:
                 best = e

@@ -45,6 +45,8 @@ TIMEOUT_S = 900  # a mutant whose tests run longer counts as killed
 COUNTEREXAMPLE = ("tests/test_counterexample.py",)
 SCALARS = ("tests/test_scalars.py",)
 OPERATORS = ("tests/test_operators.py",)
+AFFINOID = ("tests/test_affinoid.py",)
+CLI = ("tests/test_cli.py",)
 
 MUTANTS = [
     # the expansion stream: one-root row, lead, unit scale
@@ -143,14 +145,31 @@ MUTANTS = [
            "        L = max(*[e[1] for e, _ in a], *[e[1] for e, _ in b])\n",
            SCALARS + OPERATORS),
     Mutant("p-adic min_valuation ignores the denominator", "scalars.py",
-           "            v = _int_valuation(n, p) if d % p else -_int_valuation(d, p)\n",
-           "            v = _int_valuation(n, p)\n",
+           "            v = (_int_valuation(n, p) if d % p else -_int_valuation(d, p)) "
+           "* denominator + w\n",
+           "            v = _int_valuation(n, p) * denominator + w\n",
            SCALARS + OPERATORS),
-    # polynomials and operators
+    Mutant("Hahn weighted valuation without the common denominator", "scalars.py",
+           "            e = (n * denominator + w * d, d * denominator)\n",
+           "            e = (n + w * d, d)\n",
+           AFFINOID + OPERATORS),
+    # polynomials, sup norms and operators
     Mutant("_combine keeps a zero coefficient", "affinoid.py",
            "for exponent, value in acc.items() if not is_zero(value)})\n",
            "for exponent, value in acc.items()})\n",
-           ("tests/test_affinoid.py",) + OPERATORS),
+           AFFINOID + OPERATORS),
+    Mutant("sup norm without its weights", "affinoid.py",
+           "    return moved.weighted_valuation(*domain.weights)\n",
+           "    return moved.gauss_valuation()\n",
+           AFFINOID + OPERATORS),
+    Mutant("weighted valuation weighs only the first coordinate", "affinoid.py",
+           "            [sum(map(operator.mul, exponent, weights)) for exponent in self.coeffs],\n",
+           "            [exponent[0] * weights[0] for exponent in self.coeffs],\n",
+           AFFINOID + OPERATORS),
+    Mutant("polydisc without its value-group check", "affinoid.py",
+           "            self.field.check_valuation(r)\n",
+           "",
+           AFFINOID + CLI),
     Mutant("apply_operator without its binomial or falling-factorial weight", "operators.py",
            "                parts.append((terms, times(coeff.q, (k, 1)), "
            "tuple(map(sub, exponent, alpha))))\n",
@@ -168,9 +187,9 @@ MUTANTS = [
            "        minus_c = field.neg(c.q)\n",
            "        minus_c = c.q\n",
            OPERATORS),
-    Mutant("conjugation to the unit polydisc without its sigma^-alpha scale", "operators.py",
-           "        coeffs[alpha] = moved.scale(field.element_of_valuation(-shift))\n",
-           "        coeffs[alpha] = moved\n",
+    Mutant("action side without its -sum delta_i r_i", "operators.py",
+           "                    + NormValue(Fraction(-shift, denominator)))\n",
+           "                    )\n",
            OPERATORS),
     Mutant("coefficient side without v(alpha!)", "operators.py",
            "    terms = {alpha: sup + NormValue.of(sum(map(field.factorial_valuation, alpha))\n"

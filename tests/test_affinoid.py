@@ -344,6 +344,47 @@ def test_sup_norm_fractional_radius_needs_hahn():
                  Polydisc((P2.zero(),), (Fraction(1, 2),)))
 
 
+def random_polydisc(rng, field, dim):
+    """The origin or integral centres -4..4 (on Hahn also with a t^(k/3)
+    term), and radius valuations 0..3, over denominators 1-3 on Hahn."""
+    if isinstance(field, PAdicField):
+        center = tuple(field.from_rational(rng.randint(-4, 4)) for _ in range(dim))
+        radii = tuple(Fraction(rng.randint(0, 3)) for _ in range(dim))
+    else:
+        center = tuple(field.from_terms([(0, rng.randint(-4, 4)),
+                                         (Fraction(rng.randint(1, 4), 3), rng.randint(-2, 2))])
+                       for _ in range(dim))
+        radii = tuple(Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(dim))
+    if rng.random() < 0.5:
+        center = (field.zero(),) * dim  # no constant term from the translation
+    return Polydisc(center, radii)
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 10_000))
+def test_sup_norm_matches_the_rescaled_gauss_oracle(field, dim, degree, seed):
+    # translate then weigh reads what the Gauss valuation of f(c + sigma y) reads
+    rng = random.Random(seed)
+    f = random_poly(rng, field, dim, degree)
+    dom = random_polydisc(rng, field, dim)
+    want = rescale_to_subdisc(f, dom.center, dom.radius_valuations).gauss_valuation()
+    assert sup_norm(f, dom) == want
+
+
+def test_sup_norm_weighs_every_coordinate_over_the_common_denominator():
+    # x1 x2^2 on radii (1/2, 1/3) about the origin: 1/2 + 2/3 = 7/6
+    x1, x2 = SparsePoly.variable(HAHN, 2, 0), SparsePoly.variable(HAHN, 2, 1)
+    dom = Polydisc((HAHN.zero(), HAHN.zero()), (Fraction(1, 2), Fraction(1, 3)))
+    assert dom.weights == ((3, 2), 6)
+    assert sup_norm(x1 * x2 ** 2, dom) == NormValue.of(Fraction(7, 6))
+
+
+@given(st.sampled_from([P2, P3, HAHN]), st.integers(1, 3), st.integers(0, 10_000))
+def test_weighted_valuation_at_weight_zero_is_the_gauss_valuation(field, dim, seed):
+    f = random_poly(random.Random(seed), field, dim, 3)
+    assert f.weighted_valuation((0,) * dim, 1) == f.gauss_valuation()
+
+
 @given(small_polys(P2, dim=1, degree=3), st.integers(0, 3), st.integers(0, 3))
 def test_restriction_contracts(f, r1, r2):
     # smaller disc, larger sup-norm valuation
@@ -367,6 +408,13 @@ def test_polydisc_validation():
         Polydisc((P2.zero(),), (Fraction(-1),))
     with pytest.raises(ValueError):
         Polydisc((P2.zero(), P2.zero()), (Fraction(0),))
+
+
+def test_polydisc_checks_the_value_group_of_each_radius():
+    # the p-adic value group is Z; the check runs when the polydisc is built
+    with pytest.raises(ValueError, match="not in the value group Z of the p-adic backend"):
+        Polydisc((P3.zero(), P3.zero()), (Fraction(1), Fraction(1, 2)))
+    assert Polydisc((HAHN.zero(),), (Fraction(1, 2),)).weights == ((1,), 2)
 
 
 # ---------------------------------------------------------------------------

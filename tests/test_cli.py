@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ from unittest import mock
 import pytest
 
 import nadops.cli
-from nadops import counterexample
+from nadops import affinoid, counterexample
 from nadops.cli import main
 from nadops.counterexample import RepProductFamily
-from nadops.scalars import NormValue
+from nadops.scalars import HahnField, NormValue, PAdicField
+from test_optimize import DEFAULT_DOMAIN_ARGVS, OPERATOR_ARGVS, OPERATOR_FILES, PINNED_SHA256
 
 SAMPLE_OP = """\
 dim: 1
@@ -223,6 +225,30 @@ def test_no_runtime_path_builds_a_member_polynomial(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "123"],
+    *OPERATOR_ARGVS,
+    *DEFAULT_DOMAIN_ARGVS,
+])
+def test_no_runtime_path_builds_an_element_of_the_radius_valuation(argv, capsys, tmp_path,
+                                                                   monkeypatch):
+    # sup norms and the norm bracket weigh by the radii: no sigma = p^r or
+    # t^r is built, and no polynomial is rescaled by one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runtime path built an element of the radius valuation")
+
+    for name, text in OPERATOR_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(PAdicField, "element_of_valuation", refuse), \
+            mock.patch.object(HahnField, "element_of_valuation", refuse), \
+            mock.patch.object(affinoid, "rescale_to_subdisc", refuse), \
+            mock.patch.object(counterexample, "rescale_to_subdisc", refuse):
+        code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [
     ["--backend", "p=2", "--radius-valuation", "3"],
     ["--backend", "hahn", "--radius-valuation", "1/2"],
 ])
@@ -293,6 +319,47 @@ def test_disc_of_huge_radius_builds_no_power_of_p(backend):
     assert proc.returncode == 0, proc.stderr
     [disc] = json.loads(proc.stdout)["reports"]
     assert disc["restricted_family_verdict"] == "decreasing-witnessed"
+
+
+P7_OP = """\
+dim: 1
+backend: p=7
+normalization: plain
+order: 2
+0 : (3/7@7) * x1^1 + (1/1@7) * x1^0
+1 : (14/1@7) * x1^2
+2 : (-5/49@7) * x1^0 + (2/1@7) * x1^3
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--backend", "p=3", "--operator", "p3.op", "--n", "10000000"],
+    ["decay", "--backend", "p=7", "--operator", "p7.op", "--n", "10000000"],
+    ["norms", "--backend", "p=2", "--operator", "p2.op", "--domain",
+     '{"type":"polydisc","center":["1/1@2","0/1@2"],"radii":["10000000","10000000"]}'],
+    ["norms", "--backend", "p=3", "--operator", "p3.op", "--domain",
+     '{"type":"polydisc","center":["2/1@3","0/1@3"],"radii":["10000000","1"]}'],
+])
+def test_huge_radius_valuation_builds_no_power_of_p(argv, tmp_path):
+    # the radius is a weight; rescaling by p^(10^6) alone took over 20 s
+    for name, text in {**OPERATOR_FILES, "p7.op": P7_OP}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=20, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"]
+
+
+def test_fractional_p_adic_radius_is_refused_when_the_polydisc_is_built(tmp_path):
+    (tmp_path / "p2.op").write_text(OPERATOR_FILES["p2.op"], encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(nadops.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", "norms", "--backend", "p=2",
+                           "--operator", "p2.op", "--domain",
+                           '{"type":"polydisc","center":["0/1@2","0/1@2"],"radii":["1/2","0"]}'],
+                          capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: valuation 1/2 is not in the value group Z of the p-adic backend\n"
 
 
 def test_large_prime_backend_runs():

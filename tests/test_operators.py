@@ -14,6 +14,7 @@ from nadops.affinoid import (
     mi_sub,
     mi_total,
     mi_up_to_total,
+    rescale_to_subdisc,
     sup_norm,
     unit_polydisc,
 )
@@ -37,7 +38,7 @@ from nadops.operators import (
     random_operator,
     random_poly,
     roundtrip_report,
-    _conjugate_to_unit_disc,
+    _norm_bracket_terms,
     _shifted_monomial_basis,
     random_scalar,
     symbol_coefficient,
@@ -45,6 +46,7 @@ from nadops.operators import (
     translation_invariance_check,
 )
 from nadops.scalars import HahnField, NormValue, PAdicField, format_valuation
+from test_affinoid import random_polydisc
 
 P2 = PAdicField(2)
 P3 = PAdicField(3)
@@ -377,8 +379,9 @@ def test_norm_bracket_of_zero_operator():
 
 
 def conjugate_per_coordinate(P, domain):
-    """_conjugate_to_unit_disc as it scaled by sigma_i^-alpha_i one
-    coordinate at a time: the oracle for its single scale."""
+    """P in the coordinates x = c + sigma y of the unit polydisc over
+    ``domain``, with v(sigma_i) = r_i, scaled by sigma_i^-alpha_i one
+    coordinate at a time: b_alpha = a_alpha(c + sigma y) sigma^-alpha."""
     field = P.field
     scales = tuple(field.element_of_valuation(r) for r in domain.radius_valuations)
     coeffs = {}
@@ -391,18 +394,57 @@ def conjugate_per_coordinate(P, domain):
     return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False)
 
 
-@given(st.sampled_from([P2, P3, HAHN]), st.integers(1, 3), st.integers(0, 10_000))
-@settings(max_examples=40)
-def test_conjugation_matches_per_coordinate_scaling(field, dim, seed):
+def sigma_sup(f, domain):
+    """The sup valuation of f on ``domain`` as the Gauss valuation of
+    f(c + sigma y): the oracle for sup_norm's translate-then-weigh rule."""
+    return rescale_to_subdisc(f, domain.center, domain.radius_valuations).gauss_valuation()
+
+
+def sigma_bracket_terms(P, domain):
+    """_norm_bracket_terms read through sigma: the least Gauss valuation of
+    the conjugated images P y^delta, the least v(alpha!) + v(b_alpha) over
+    the conjugated coefficients, and the Gauss valuation of each
+    a_alpha(c + sigma y)."""
+    conj = conjugate_per_coordinate(P, domain)
+    lower = NormValue.infinite()
+    for delta in mi_up_to_total(P.dim, P.order):
+        image = apply_operator(conj, SparsePoly.monomial(P.field, P.dim, delta))
+        lower = min(lower, image.gauss_valuation())
+    sups = {alpha: sigma_sup(P.plain_coefficient(alpha), domain) for alpha in P.coeffs}
+    upper = NormValue.infinite()
+    for alpha, b in conj.coeffs.items():
+        factorial = sum(map(P.field.factorial_valuation, alpha))
+        upper = min(upper, b.gauss_valuation() + NormValue.of(factorial))
+    return lower, upper, sups
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 3), st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=80)
+def test_norm_bracket_terms_match_the_sigma_conjugated_oracle(field, dim, order, degree,
+                                                              divided, seed):
+    # the translated, weighted bracket reads what conjugating by sigma reads
     rng = random.Random(seed)
-    P = random_operator(rng, field, dim, 3, 2)
-    denominators = [1] if isinstance(field, PAdicField) else [1, 2, 3]
-    dom = Polydisc(tuple(field.from_rational(rng.randint(0, 3)) for _ in range(dim)),
-                   tuple(Fraction(rng.randint(0, 3), rng.choice(denominators))
-                         for _ in range(dim)))
-    conj, sups = _conjugate_to_unit_disc(P, dom)
-    assert conj == conjugate_per_coordinate(P, dom)
+    P = random_operator(rng, field, dim, order, degree)
+    P = DiffOperator.make(field, dim, P.coeffs, P.order, divided)
+    dom = random_polydisc(rng, field, dim)
+    lower, upper, sups, _ = _norm_bracket_terms(P, dom)
+    assert (lower, upper, sups) == sigma_bracket_terms(P, dom)
     assert sups == {alpha: sup_norm(P.plain_coefficient(alpha), dom) for alpha in P.coeffs}
+
+
+def test_norm_bracket_builds_no_sigma(monkeypatch):
+    # a radius valuation of 10^7 weighs the terms, and p^(10^7) is never
+    # built: x1 d/dx1 has norm |pi|^-(10^7) on the polydisc about (1, 0)
+    def refuse(*args):
+        raise AssertionError("the norm bracket built an element of the radius valuation")
+
+    for field in (P3, HAHN):
+        monkeypatch.setattr(type(field), "element_of_valuation", refuse)
+        x = SparsePoly.variable(field, 2, 0)
+        P = DiffOperator.make(field, 2, {(1, 0): x, (0, 2): const(1, field, 2)})
+        dom = Polydisc((field.one(), field.zero()), (Fraction(10**7), Fraction(1)))
+        assert operator_norm_bracket(P, dom) == (NormValue.of(-10**7),) * 2
 
 
 @given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 4),
@@ -420,6 +462,15 @@ def test_norm_bracket_sides_are_equal(field, dim, order, divided, seed):
                          for _ in range(dim)))
     lower, upper = operator_norm_bracket(P, dom)
     assert lower == upper and not lower.is_infinite
+
+
+def test_action_side_weighs_each_image_less_its_monomial():
+    # x^2 d^2 on the disc of radius |2|^3 about 1: the image of y^2 is 2 x^2,
+    # whose sup there is |2| |1|, while y^2 has sup |2|^6; the norm is |2|^-5
+    x = x_var()
+    P = DiffOperator.make(P2, 1, {(2,): x ** 2})
+    dom = Polydisc((P2.one(),), (Fraction(3),))
+    assert operator_norm_bracket(P, dom) == (NormValue.of(-5), NormValue.of(-5))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +515,7 @@ def bracket_decay_report(P, n, operator_id):
     all_pass = True
     for alpha in sorted(P.coeffs):
         a = P.plain_coefficient(alpha)
-        lhs = sup_norm(a, dom)
+        lhs = sigma_sup(a, dom)
         lhs_gauss = a.gauss_valuation()
         rhs = upper + NormValue.of(n * mi_total(alpha) * vpi) \
             + NormValue.of(-factorial_valuation(alpha))

@@ -136,11 +136,21 @@ UNIT_DENOMINATOR_DISC_ARGVS = [
      "--center", "1/2*t^(0) + 1*t^(1/3)", "--radius-valuation", "1/2", "--alpha-max", "6"],
 ]
 
+# decay and norms at radius valuations of 10^5, where the radius is a weight;
+# scaling by p^(10^5) took 0.5, 1.4 and 0.4 s
+LARGE_RADIUS_ARGVS = [
+    ["decay", "--backend", "p=3", "--operator", "p3.op", "--n", "100000"],
+    ["norms", "--backend", "p=3", "--operator", "p3.op", "--domain",
+     '{"type":"polydisc","center":["0/1@3","0/1@3"],"radii":["100000","1"]}'],
+    ["norms", "--backend", "p=2", "--operator", "p2.op", "--domain",
+     '{"type":"polydisc","center":["0/1@2","0/1@2"],"radii":["100000","100000"]}'],
+]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
 # reports (norms also on the default domain), the claim-1 discs, the
-# series-center disc, claim 2, the symmetric discs and the discs about
-# unit-denominator centers;
+# series-center disc, claim 2, the symmetric discs, the discs about
+# unit-denominator centers and the reports at large radius valuations;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -216,6 +226,12 @@ PINNED_SHA256 = {
         "0ed5ffaa3a89bf07cac05b9d7b48dcc77b28dc8786cf49f59129d14c0ecf9127",
     tuple(UNIT_DENOMINATOR_DISC_ARGVS[3]):
         "b6757a30ac44659244b132cf761d8e89220368eb85f28560b334c9755808996b",
+    tuple(LARGE_RADIUS_ARGVS[0]):
+        "0a537f31c8f21abf0908631c361b3381a584a641573b22cc9e0c028c7283db39",
+    tuple(LARGE_RADIUS_ARGVS[1]):
+        "ee5d175e55f6be253d3abd95fe3726aff9dce5143faef814ee0aed2c3ab172db",
+    tuple(LARGE_RADIUS_ARGVS[2]):
+        "9f5a8115aecd60ec72ce8bd76d0d9ce06cde0ba3a8c6424b71901453caea4d60",
 }
 
 
@@ -248,6 +264,7 @@ def test_no_assert_statements(name):
     *CLAIM2_ARGVS,
     *SYMMETRIC_DISC_ARGVS,
     *UNIT_DENOMINATOR_DISC_ARGVS,
+    *LARGE_RADIUS_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():
