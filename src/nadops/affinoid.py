@@ -6,7 +6,10 @@ That makes the Gauss norm (the minimum coefficient valuation) exact, and the
 sup norm over any sub-polydisc exact as well: translate x = c + y, and weigh
 each coefficient f_gamma of the result by the radii, min over gamma of
 v(f_gamma) + sum_i gamma_i r_i.  The radius is a weight, so no element of
-valuation r is ever built.
+valuation r is ever built.  A coordinate centred at zero needs no
+translation, so substitute_affine skips every coordinate whose centre is 0
+and whose scale is 1: a polydisc about the origin, such as the decay
+report's X_n, is weighed as it is.
 
 Multi-indices are plain tuples of naturals; the helpers here are the only
 place componentwise order, factorials and binomials are spelled out.
@@ -139,16 +142,21 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, field: Field, dim: int, value: Scalar | Rational) -> "SparsePoly":
-        if not isinstance(value, Scalar):
-            value = field.from_rational(value)
-        return cls.make(field, dim, {(0,) * dim: value})
+        return cls.monomial(field, dim, (0,) * dim, value)
 
     @classmethod
     def monomial(cls, field: Field, dim: int, exponent: MultiIndex,
                  value: Scalar | Rational = 1) -> "SparsePoly":
+        """value * x^exponent, checked as make checks its terms; one term
+        needs no summing, so the dict is built directly."""
         if not isinstance(value, Scalar):
             value = field.from_rational(value)
-        return cls.make(field, dim, {tuple(exponent): value})
+        exponent = tuple(exponent)
+        if len(exponent) != dim or any(e < 0 for e in exponent):
+            raise ValueError(f"bad exponent {exponent} for dimension {dim}")
+        if value.field != field:
+            raise ValueError("coefficient from a different backend")
+        return cls(field, dim, {} if value.is_zero else {exponent: value})
 
     @classmethod
     def variable(cls, field: Field, dim: int, i: int) -> "SparsePoly":
@@ -255,15 +263,19 @@ class SparsePoly:
         """Exact expansion of f(c_1 + s_1 y_1, ..., c_d + s_d y_d).
 
         One Horner pass per variable, so no binomial tables are needed and
-        integer coefficient growth stays linear in the degree.
+        integer coefficient growth stays linear in the degree.  A variable
+        with centre 0 and scale 1 gets no pass: it would return its input.
         """
         if len(center) != self.dim or len(scales) != self.dim:
             raise ValueError("center/scale arity does not match dimension")
         for value in (*center, *scales):
             _check_field(self.field, value)
+        one = self.field.one().q
         out = self
-        for i in range(self.dim):
-            out = out._substitute_one(i, center[i], scales[i])
+        for i, (c, s) in enumerate(zip(center, scales)):
+            # x_i = 0 + 1 y_i leaves the polynomial as it is
+            if not (c.is_zero and s.q == one):
+                out = out._substitute_one(i, c, s)
         return out
 
     def _substitute_one(self, i: int, c: Scalar, s: Scalar) -> "SparsePoly":

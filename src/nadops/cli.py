@@ -290,12 +290,11 @@ _SUITE_RUNS = [
 
 def _cmd_suite(args) -> tuple[dict, list[dict]]:
     backends = ["p=2", "hahn"]
-    parser = build_parser()
     reports = []
     rows: list[dict] = []
 
     def run(label: str, argv: list[str], backend: str) -> None:
-        sub = parser.parse_args([*argv, "--backend", backend, "--seed", str(args.seed)])
+        sub = args.parser.parse_args([*argv, "--backend", backend, "--seed", str(args.seed)])
         sub_report, sub_rows = sub.handler(sub)
         reports.append(sub_report)
         rows.extend(dict(r, report=label) for r in sub_rows)
@@ -432,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="the full desk-scale verification sweep")
     _add_common(p)
-    p.set_defaults(handler=_cmd_suite)
+    # the suite parses each of its runs with this same parser
+    p.set_defaults(handler=_cmd_suite, parser=parser)
 
     return parser
 

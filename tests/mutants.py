@@ -154,6 +154,14 @@ MUTANTS = [
            "            e = (n + w * d, d)\n",
            AFFINOID + OPERATORS),
     # polynomials, sup norms and operators
+    Mutant("monomial keeps a zero coefficient", "affinoid.py",
+           "        return cls(field, dim, {} if value.is_zero else {exponent: value})\n",
+           "        return cls(field, dim, {exponent: value})\n",
+           AFFINOID + OPERATORS),
+    Mutant("identity skip taken when the centre is zero but the scale is not one", "affinoid.py",
+           "            if not (c.is_zero and s.q == one):\n",
+           "            if not c.is_zero:\n",
+           AFFINOID + OPERATORS),
     Mutant("_combine keeps a zero coefficient", "affinoid.py",
            "for exponent, value in acc.items() if not is_zero(value)})\n",
            "for exponent, value in acc.items()})\n",
@@ -192,13 +200,32 @@ MUTANTS = [
            "                    )\n",
            OPERATORS),
     Mutant("coefficient side without v(alpha!)", "operators.py",
-           "    terms = {alpha: sup + NormValue.of(sum(map(field.factorial_valuation, alpha))\n"
-           "                                       - sum(map(operator.mul, alpha, radii)))\n",
-           "    terms = {alpha: sup + NormValue.of(-sum(map(operator.mul, alpha, radii)))\n",
+           "        k = sum(map(factorial_valuation, alpha)) * L"
+           " - sum(map(operator.mul, alpha, w))\n",
+           "        k = -sum(map(operator.mul, alpha, w))\n",
            OPERATORS),
     Mutant("coefficient side reads alpha_1 r_1 for sum alpha_i r_i", "operators.py",
-           "                                       - sum(map(operator.mul, alpha, radii)))\n",
-           "                                       - alpha[0] * radii[0])\n",
+           " - sum(map(operator.mul, alpha, w))\n",
+           " - alpha[0] * w[0]\n",
+           OPERATORS),
+    Mutant("coefficient side drops the common denominator L", "operators.py",
+           "Fraction(v.numerator * L + k * v.denominator, v.denominator * L))\n",
+           "Fraction(v.numerator + k * v.denominator, v.denominator))\n",
+           OPERATORS),
+    Mutant("translation check keys its basis memo by |beta|", "operators.py",
+           "    bases = {beta: _shifted_monomial_basis(field, d, center, beta) "
+           "for beta in mi_box(alpha)}\n"
+           "    lhs_parts, rhs_parts = [], []\n"
+           "    for beta, basis in bases.items():\n",
+           "    bases = {sum(beta): _shifted_monomial_basis(field, d, center, beta) "
+           "for beta in mi_box(alpha)}\n"
+           "    bases = {beta: bases[sum(beta)] for beta in mi_box(alpha)}\n"
+           "    lhs_parts, rhs_parts = [], []\n"
+           "    for beta, basis in bases.items():\n",
+           OPERATORS),
+    Mutant("decay bound spot-checked only up to degree 3", "operators.py",
+           "        for k in range(index_cap + 1):\n",
+           "        for k in range(min(3, index_cap) + 1):\n",
            OPERATORS),
     Mutant("decay report reads the Gauss valuation for the sup on X_n", "operators.py",
            "        coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation()))\n",

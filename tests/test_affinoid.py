@@ -24,7 +24,7 @@ from nadops.affinoid import (
     sup_norm,
     unit_polydisc,
 )
-from nadops.operators import random_poly
+from nadops.operators import random_poly, random_scalar
 from nadops.scalars import HahnField, NormValue, PAdicField, Scalar
 
 P2 = PAdicField(2)
@@ -124,6 +124,41 @@ def test_make_validates_exponents_and_backend():
         SparsePoly.make(P2, 1, {(-1,): P2.one()})
     with pytest.raises(ValueError):
         SparsePoly.make(P2, 1, {(1,): HAHN.one()})
+
+
+# one-term polynomials are built directly; make, which sums its terms, is
+# their oracle
+ONE_TERM_VALUES = {
+    P2: [0, 1, -3, Fraction(5, 4)],
+    P3: [0, 2, Fraction(-1, 9)],
+    P5: [0, 7, Fraction(3, 25)],
+    HAHN: [HAHN.zero(), HAHN.one(), HAHN.from_terms([(Fraction(1, 2), 3), (-1, Fraction(1, 3))])],
+}
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]).flatmap(lambda field: st.tuples(
+    st.just(field), st.sampled_from(ONE_TERM_VALUES[field]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3))))
+def test_monomial_and_constant_match_make(case):
+    field, value, exponent = case
+    dim = len(exponent)
+    scalar = value if isinstance(value, Scalar) else field.from_rational(value)
+    # == compares the dicts, so a stored zero coefficient fails it
+    monomial = SparsePoly.monomial(field, dim, exponent, value)
+    assert monomial == SparsePoly.make(field, dim, {tuple(exponent): scalar})
+    assert monomial.is_zero == scalar.is_zero
+    constant = SparsePoly.constant(field, dim, value)
+    assert constant == SparsePoly.make(field, dim, {(0,) * dim: scalar})
+    assert constant.is_zero == scalar.is_zero
+
+
+def test_monomial_validates_as_make_does():
+    # the cases of test_make_validates_exponents_and_backend
+    for exponent, value in (((1, 0), P2.one()), ((-1,), P2.one()), ((1,), HAHN.one())):
+        with pytest.raises(ValueError):
+            SparsePoly.monomial(P2, 1, exponent, value)
+    with pytest.raises(ValueError):
+        SparsePoly.constant(P2, 1, HAHN.one())
 
 
 def test_ring_identities():
@@ -233,6 +268,37 @@ def test_substitute_affine_multivariate():
     # (1 + 2 y1) * 4 y2 = 4 y2 + 8 y1 y2
     assert g == SparsePoly.make(P2, 2, {
         (0, 1): P2.from_rational(4), (1, 1): P2.from_rational(8)})
+
+
+def full_horner(f, center, scales):
+    """substitute_affine with a Horner pass for every coordinate, including
+    those with centre 0 and scale 1 that it skips: its oracle."""
+    for i, (c, s) in enumerate(zip(center, scales)):
+        f = f._substitute_one(i, c, s)
+    return f
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(0, 10_000),
+       st.lists(st.tuples(st.sampled_from(["zero", "other"]), st.sampled_from(["one", "other"])),
+                min_size=1, max_size=3))
+def test_substitute_affine_matches_a_pass_per_coordinate(field, seed, coordinates):
+    # centres mixing zero and nonzero coordinates, scales mixing one and others
+    rng = random.Random(seed)
+    dim = len(coordinates)
+    f = random_poly(rng, field, dim, 3)
+    center = tuple(field.zero() if c == "zero" else random_scalar(rng, field)
+                   for c, _ in coordinates)
+    scales = tuple(field.one() if s == "one" else random_scalar(rng, field)
+                   for _, s in coordinates)
+    assert f.substitute_affine(center, scales) == full_horner(f, center, scales)
+
+
+def test_substitute_affine_skips_only_the_identity_coordinates():
+    # y1 + y2 at centre (0, 0) with scales (1, 2): x1 is kept, x2 is scaled
+    f = SparsePoly.make(P2, 2, {(1, 0): P2.one(), (0, 1): P2.one()})
+    g = f.substitute_affine((P2.zero(), P2.zero()), (P2.one(), P2.from_rational(2)))
+    assert g == SparsePoly.make(P2, 2, {(1, 0): P2.one(), (0, 1): P2.from_rational(2)})
+    assert f.substitute_affine((P2.zero(), P2.zero()), (P2.one(), P2.one())) == f
 
 
 # ---------------------------------------------------------------------------

@@ -562,3 +562,16 @@ def test_suite_csv_has_report_column(capsys):
     assert code == 0
     header = out.splitlines()[0].split(",")
     assert "report" in header
+
+
+def test_suite_parses_its_runs_with_the_parser_main_built(capsys, monkeypatch):
+    real, built = nadops.cli.build_parser, []
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(nadops.cli, "build_parser", counted)
+    code, _, _ = run(capsys, "suite", "--seed", "21")
+    assert code == 0
+    assert len(built) == 1

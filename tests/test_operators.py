@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nadops import operators
 from nadops.affinoid import (
     Polydisc,
     SparsePoly,
@@ -38,6 +40,7 @@ from nadops.operators import (
     random_operator,
     random_poly,
     roundtrip_report,
+    _coefficient_side,
     _norm_bracket_terms,
     _shifted_monomial_basis,
     random_scalar,
@@ -312,6 +315,32 @@ def test_shifted_monomial_basis_matches_pow_chain(seed, field, coordinates):
         pow_chain_basis(field, dim, center, beta)
 
 
+def chained_random_scalar(rng, field):
+    """random_scalar as it was: the p-adic draw as a Scalar division, power
+    and product chain, which one rational replaced, and each digit list
+    rebuilt per draw.  Its oracle."""
+    if isinstance(field, PAdicField):
+        num = rng.choice([n for n in range(-9, 10) if n])
+        value = field.from_rational(num).div(field.from_rational(rng.randint(1, 9)))
+        return value * field.uniformizer() ** rng.randint(-2, 2)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exponent = Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2, 3]))
+        coeff = Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 4))
+        terms.append((exponent, coeff))
+    out = field.from_terms(terms)
+    return out if not out.is_zero else field.one()
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(0, 10_000))
+def test_random_scalar_matches_the_scalar_chain(field, seed):
+    # the same value from the same draws, so every seeded input keeps its bytes
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert random_scalar(rng, field) == chained_random_scalar(oracle_rng, field)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
 def test_shifted_monomial_basis_example():
     # (x - 3)^2 = x^2 - 6x + 9, and the zero centre gives the plain monomial
     x = x_var(P3)
@@ -319,6 +348,48 @@ def test_shifted_monomial_basis_example():
         x ** 2 - x.scale(6) + const(9, P3)
     assert _shifted_monomial_basis(P3, 2, (P3.zero(), P3.one()), (3, 0)) == \
         SparsePoly.monomial(P3, 2, (3, 0))
+
+
+def rebuilding_translation_check(oracle, center, alpha):
+    """translation_invariance_check as it was, building (x - c)^beta once as
+    beta and again as a gap: its oracle."""
+    field, d = oracle.field, oracle.dim
+    lhs = rhs = SparsePoly.zero(field, d)
+    for beta in mi_box(alpha):
+        gap = mi_sub(alpha, beta)
+        weight = mi_binomial(alpha, beta) * (-1) ** mi_total(gap)
+        lhs = lhs + oracle.query(beta) * SparsePoly.monomial(field, d, gap, weight)
+        image = oracle.apply_poly(_shifted_monomial_basis(field, d, center, beta))
+        rhs = rhs + (image * _shifted_monomial_basis(field, d, center, gap)).scale(weight)
+    return lhs == rhs
+
+
+def seeded_endomorphism(seed, field, dim, cap):
+    """A linear map given by seeded images of the monomials, no operator
+    behind it: the extraction sums agree in x and in x - c for any linear map."""
+    def image(beta):
+        return random_poly(random.Random(f"{seed}/{beta}"), field, dim, 2)
+    return EndoOracle(field, dim, cap, image)
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.booleans(),
+       st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_translation_invariance_matches_the_rebuilding_check(field, dim, from_operator, seed):
+    rng = random.Random(seed)
+    alpha = tuple(rng.randint(0, 2) for _ in range(dim))
+    if from_operator:
+        oracle = EndoOracle.from_operator(random_operator(rng, field, dim, 2, 2), degree_cap=6)
+    else:
+        oracle = seeded_endomorphism(seed, field, dim, 6)
+    center = random_polydisc(rng, field, dim).center
+    want = rebuilding_translation_check(oracle, center, alpha)
+    with mock.patch.object(operators, "_shifted_monomial_basis",
+                           wraps=_shifted_monomial_basis) as built:
+        got = translation_invariance_check(oracle, center, alpha)
+    assert want and got == want
+    # one basis per beta in the box
+    assert sorted(call.args[3] for call in built.call_args_list) == sorted(mi_box(alpha))
 
 
 def test_translation_invariance_fuzz():
@@ -464,6 +535,29 @@ def test_norm_bracket_sides_are_equal(field, dim, order, divided, seed):
     assert lower == upper and not lower.is_infinite
 
 
+def fraction_coefficient_side(field, radii, sups):
+    """_coefficient_side as it was, on the radius valuations, with Fraction
+    arithmetic per term: its oracle."""
+    terms = {alpha: sup + NormValue.of(sum(map(field.factorial_valuation, alpha))
+                                       - sum(a * r for a, r in zip(alpha, radii)))
+             for alpha, sup in sups.items()}
+    return min(terms.values(), default=NormValue.infinite()), terms
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 10_000))
+def test_coefficient_side_matches_the_fraction_formula(field, dim, seed):
+    # sup valuations over denominators 1-6, an infinite one now and then,
+    # at indices high enough that v(alpha!) is not zero
+    rng = random.Random(seed)
+    dom = random_polydisc(rng, field, dim)
+    sups = {tuple(rng.randint(0, 7) for _ in range(dim)):
+            NormValue.infinite() if rng.random() < 0.1 else
+            NormValue.of(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+            for _ in range(rng.randint(0, 6))}
+    assert _coefficient_side(field, dom.weights, sups) == \
+        fraction_coefficient_side(field, dom.radius_valuations, sups)
+
+
 def test_action_side_weighs_each_image_less_its_monomial():
     # x^2 d^2 on the disc of radius |2|^3 about 1: the image of y^2 is 2 x^2,
     # whose sup there is |2| |1|, while y^2 has sup |2|^6; the norm is |2|^-5
@@ -590,6 +684,16 @@ def test_classifier_rejects_overstated_bound():
         bound=DecayBound(quad=Fraction(1), offset=Fraction(5)))
     with pytest.raises(ValueError):
         classify_rapid_decay(constant)
+
+
+def test_classifier_checks_the_bound_at_every_degree_up_to_the_cap():
+    # member 5 sits one below the declared bound k^2; a cap of 8 reads it
+    family = CoefficientFamily(
+        P2, 1, lambda a: NormValue.of(a[0] ** 2 - (1 if a[0] == 5 else 0)),
+        bound=DecayBound(quad=Fraction(1)))
+    with pytest.raises(ValueError, match=r"at \(5,\)"):
+        classify_rapid_decay(family, index_cap=8)
+    assert classify_rapid_decay(family, index_cap=4) == DECREASING_WITNESSED
 
 
 def test_classifier_is_inconclusive_when_window_is_too_short():

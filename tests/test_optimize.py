@@ -146,11 +146,29 @@ LARGE_RADIUS_ARGVS = [
      '{"type":"polydisc","center":["0/1@2","0/1@2"],"radii":["100000","100000"]}'],
 ]
 
+# norms about centres with a zero coordinate, and the decay on X_1 about the
+# origin: coordinates with centre 0 and scale 1 are not translated
+ZERO_CENTRE_ARGVS = [
+    ["norms", "--backend", "p=2", "--operator", "p2.op", "--domain",
+     '{"type":"polydisc","center":["0/1@2","3/1@2"],"radii":["1","2"]}'],
+    ["norms", "--backend", "p=3", "--operator", "p3.op", "--domain",
+     '{"type":"polydisc","center":["0/1@3","3/1@3"],"radii":["1","2"]}'],
+    ["decay", "--backend", "p=2", "--operator", "p2.op", "--n", "1"],
+    ["decay", "--backend", "p=3", "--operator", "p3.op", "--n", "1"],
+]
+
+# seeded roundtrips, one per backend: their operators come from random_scalar
+SEEDED_ROUNDTRIP_ARGVS = [
+    ["roundtrip", "--backend", "p=2", "--count", "20", "--seed", "5"],
+    ["roundtrip", "--backend", "hahn", "--count", "20", "--seed", "5"],
+]
+
 # sha256 of the stdout of these argvs: the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
 # reports (norms also on the default domain), the claim-1 discs, the
 # series-center disc, claim 2, the symmetric discs, the discs about
-# unit-denominator centers and the reports at large radius valuations;
+# unit-denominator centers, the reports at large radius valuations, the
+# reports about zero centre coordinates and the seeded roundtrips;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -232,6 +250,18 @@ PINNED_SHA256 = {
         "ee5d175e55f6be253d3abd95fe3726aff9dce5143faef814ee0aed2c3ab172db",
     tuple(LARGE_RADIUS_ARGVS[2]):
         "9f5a8115aecd60ec72ce8bd76d0d9ce06cde0ba3a8c6424b71901453caea4d60",
+    tuple(ZERO_CENTRE_ARGVS[0]):
+        "30016d69c8c0a7df4121cdbb483d40829479e913c1441c6e4245abdab6fd5564",
+    tuple(ZERO_CENTRE_ARGVS[1]):
+        "62c8ef3ca8071c402cd002f84b1a422588e1b7a965b7b2ba62437813d22073e8",
+    tuple(ZERO_CENTRE_ARGVS[2]):
+        "38bd7aa461c7c173b2025fdb49b5db457d7d833d39ecb25f096322867df000d7",
+    tuple(ZERO_CENTRE_ARGVS[3]):
+        "2c53920a149831ce6ade1c3b607ebb6638b53e8fa758b57216cb0ec19a584d65",
+    tuple(SEEDED_ROUNDTRIP_ARGVS[0]):
+        "744a687ec37489637704eebfe3f2bb4e1878f8f20f1ae795be0cdd92b8ba6177",
+    tuple(SEEDED_ROUNDTRIP_ARGVS[1]):
+        "25c6a8acd982b4a3da88993349560f769711d22ba9efca45be18398302e29274",
 }
 
 
@@ -265,6 +295,8 @@ def test_no_assert_statements(name):
     *SYMMETRIC_DISC_ARGVS,
     *UNIT_DENOMINATOR_DISC_ARGVS,
     *LARGE_RADIUS_ARGVS,
+    *ZERO_CENTRE_ARGVS,
+    *SEEDED_ROUNDTRIP_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():
