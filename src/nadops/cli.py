@@ -10,6 +10,16 @@ prints; one outside every row would print one 'error: check failed: ...'
 line and exit 1.  Reports never contain timestamps or environment details
 and all randomness flows through --seed, so a rerun with the same
 arguments is byte-identical.
+
+A run builds the parser of only the commands it can reach: the one its
+first word names, and for ``suite`` also the commands its runs name, which
+it parses with that same parser.  Building the parser of every command
+takes about as long as a small verdict, since argparse sizes the terminal
+for every option and looks up message catalogues for every parser.  Any
+other argv (none, an option or an unknown word first) gets the parser of
+every command, so the program's help, its usage and its errors list every
+command; a command's own help, usage and errors never list the others, so
+every text is the same either way.
 """
 
 from __future__ import annotations
@@ -362,14 +372,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nadops",
-        description="Exact verification suites for differential operators "
-                    "over non-Archimedean polydiscs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roundtrip", help="recover operator coefficients from monomial actions")
+def _roundtrip_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--count", type=_natural(1), default=25, help="number of seeded operators")
     p.add_argument("--d", type=_natural(1), default=1)
@@ -378,22 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", help="check this operator file instead of fuzzing")
     p.set_defaults(handler=_cmd_roundtrip)
 
-    p = sub.add_parser("identity", help="alternating factorial sum collapses to a delta")
+
+def _identity_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--gamma-cap", type=_natural(0), default=8)
     p.add_argument("--d", type=_natural(1), default=2)
     p.set_defaults(handler=_cmd_identity)
 
-    p = sub.add_parser("classify", help="rapid-decrease verdicts for worked families")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--r-max", type=_natural(0), default=3)
     p.add_argument("--index-cap", type=_natural(0), default=12)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("norms", help="gauss / sup / seminorm and the operator norm on a "
-                                      "polydisc, from its action and its coefficients "
-                                      "(equal: alpha! b_alpha is an integer combination "
-                                      "of monomial images)")
+
+def _norms_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--domain", help="domain descriptor as JSON")
@@ -401,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seminorm radius valuation")
     p.set_defaults(handler=_cmd_norms)
 
-    p = sub.add_parser("counterexample", help="bounded on subdomains, divergent globally")
+
+def _counterexample_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("claim", choices=("claim1", "claim2"))
     _add_common(p)
     p.add_argument("--scheme", choices=("default", "rational"), default="default",
@@ -417,23 +421,70 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", type=_natural(0), default=8, help="monomial basis cap")
     p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser("symbol", help="emit the total symbol of an operator file")
+
+def _symbol_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--degree-cap", type=_natural(0), default=None)
     p.set_defaults(handler=_cmd_symbol)
 
-    p = sub.add_parser("decay", help="coefficient decay forced by subdisc boundedness")
+
+def _decay_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--n", type=_natural(0), default=1, help="subdisc radius exponent")
     p.set_defaults(handler=_cmd_decay)
 
-    p = sub.add_parser("suite", help="the full desk-scale verification sweep")
-    _add_common(p)
-    # the suite parses each of its runs with this same parser
-    p.set_defaults(handler=_cmd_suite, parser=parser)
 
+def _suite_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.set_defaults(handler=_cmd_suite)
+
+
+# command -> (its help line, what adds its arguments); the full parser lists
+# the commands in this order
+_COMMANDS = {
+    "roundtrip": ("recover operator coefficients from monomial actions", _roundtrip_arguments),
+    "identity": ("alternating factorial sum collapses to a delta", _identity_arguments),
+    "classify": ("rapid-decrease verdicts for worked families", _classify_arguments),
+    "norms": ("gauss / sup / seminorm and the operator norm on a polydisc, from its "
+              "action and its coefficients (equal: alpha! b_alpha is an integer "
+              "combination of monomial images)", _norms_arguments),
+    "counterexample": ("bounded on subdomains, divergent globally", _counterexample_arguments),
+    "symbol": ("emit the total symbol of an operator file", _symbol_arguments),
+    "decay": ("coefficient decay forced by subdisc boundedness", _decay_arguments),
+    "suite": ("the full desk-scale verification sweep", _suite_arguments),
+}
+
+# the suite parses its runs, and its identity run, with the parser main built
+_SUITE_COMMANDS = ("suite", "identity", *(argv[0] for _, argv in _SUITE_RUNS))
+
+
+def _reachable_commands(argv: list[str]) -> tuple[str, ...] | None:
+    """The commands a run of argv can reach: the one argv[0] names, with the
+    suite's own when that is the suite.  None stands for every command: no
+    argv, an option or an unknown word in first place, whose help, usage or
+    error lists them all."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    return _SUITE_COMMANDS if argv[0] == "suite" else (argv[0],)
+
+
+def build_parser(commands: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The parser of the named commands, in the table's order; of every
+    command when ``commands`` is None."""
+    parser = _Parser(
+        prog="nadops",
+        description="Exact verification suites for differential operators "
+                    "over non-Archimedean polydiscs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if commands is None or name in commands:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            if name == "suite":
+                # the suite parses each of its runs with this same parser
+                p.set_defaults(parser=parser)
     return parser
 
 
@@ -449,8 +500,9 @@ def _to_csv(rows: list[dict]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_reachable_commands(argv)).parse_args(argv)
     try:
         report, rows = args.handler(args)
     except (ValueError, OSError) as exc:

@@ -80,6 +80,19 @@ numerator k would carry L^(n - k) where the unscaled stream carries the
 lead prod q_i^e, and summed over k that is more bits as soon as L
 exceeds the square of the q_i's geometric mean.
 
+The set-up before the stream runs on int pairs: each representative is
+read once as its reduced (numerator, denominator) and counted, so a
+cycling scheme's alpha + 1 representatives are at most p pairs.  The
+center of symmetry is the midpoint c of the least and greatest pair, and
+the representatives are symmetric about it when every rho occurs as often
+as 2c - rho; the median is found by walking the sorted distinct pairs with
+their counts.  The roots rho - c keep the counts, times alpha^2, as their
+multiplicities.  A denominator is a unit exactly when p does not divide
+it (every one is on the Hahn backend), which decides both whether a
+center is integral and whether the roots' common denominator is cleared.
+The expansion kernel takes that map of root pairs to multiplicities, for
+the fold and for member alike.
+
 Claim 1's monomial side on a disc with a hole reads the same fold: the
 divided-power operator member(alpha) d^(alpha) sends x^delta to
 C(delta, alpha) member(alpha) x^(delta - alpha), whose Gauss valuation is
@@ -92,8 +105,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from operator import mul, sub
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .affinoid import (
     Hole,
@@ -110,8 +124,14 @@ from .scalars import (
     HahnField,
     NormValue,
     PAdicField,
+    Rational,
     Scalar,
+    _Q,
+    _ZERO,
     _int_valuation,
+    _qadd,
+    _qmul,
+    _qneg,
     format_valuation,
 )
 
@@ -218,15 +238,18 @@ class _Expansion(NamedTuple):
     step: int
 
 
-def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
+def _linear_power_product(roots: Mapping[_Q, int]) -> _Expansion:
     """prod (x - mu)^e as a stream of integer numerators over one denominator.
 
-    Denominators are cleared, so the recurrence below runs over plain ints;
-    every division it performs is exact by construction, and a remainder
-    raises CheckFailed as the coefficient is produced.  Coefficient k+1
-    reads only the s coefficients before it (s distinct nonzero roots), so
-    the stream holds s of them at a time.  The last coefficient must equal
-    the leading denominator; that is checked when the stream ends.
+    ``roots`` maps each root mu, a reduced int pair (n, d) with d > 0, to
+    its multiplicity e >= 0.  Denominators are cleared, so the recurrence
+    below runs over plain ints; every division it performs is exact by
+    construction, and a remainder raises CheckFailed as the coefficient is
+    produced.  Coefficient k+1 reads only the s coefficients before it (s
+    distinct nonzero roots), so the stream holds s of them at a time.  The
+    last coefficient must equal the leading denominator; that is checked
+    when the stream ends.  The product does not depend on the order of the
+    roots, so they are not sorted.
 
     When every nonzero root mu has -mu at the same multiplicity, the product
     is x^shift prod over mu > 0 of (x^2 - mu^2)^e, and the same recurrence
@@ -234,23 +257,19 @@ def _linear_power_product(roots: list[tuple[Fraction, int]]) -> _Expansion:
     to q^2 x^2 - p^2, so the leading denominator and the numerators are
     those of the expansion in x at even degree; the odd ones are 0.
     """
-    merged: dict[Fraction, int] = {}
-    for mu, e in roots:
-        if e < 0:
-            raise ValueError("negative multiplicity")
-        if e:
-            merged[mu] = merged.get(mu, 0) + e
-    shift = merged.pop(Fraction(0), 0)
+    if any(e < 0 for e in roots.values()):
+        raise ValueError("negative multiplicity")
+    shift = roots.get(_ZERO, 0)
+    live = {mu: e for mu, e in roots.items() if e and mu[0]}
     step = 1
-    if all(merged.get(-mu) == e for mu, e in merged.items()):
-        merged = {mu * mu: e for mu, e in merged.items() if mu > 0}
+    if all(live.get((-n, d)) == e for (n, d), e in live.items()):
+        live = {(n * n, d * d): e for (n, d), e in live.items() if n > 0}
         step = 2
-    live = sorted(merged.items())
     if not live:
         return _Expansion(shift, 1, iter([1]), 1)
 
     # factor x - p/q becomes (q x - p); H = prod (q x - p)^e is integral
-    pairs = [(mu.numerator, mu.denominator, e) for mu, e in live]
+    pairs = [(p, q, e) for (p, q), e in live.items()]
     n = sum(e for _, _, e in pairs)
 
     def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -329,6 +348,42 @@ def _numerator_stream(c0: int, base: list[int], A: list[int], n: int,
         raise CheckFailed("coefficient recurrence lost the leading term")
 
 
+def _translated(counts: Mapping[_Q, int], alpha: int, c: _Q) -> dict[_Q, int]:
+    """member(alpha)'s roots at x = c + y: lambda - c for each representative
+    lambda, of multiplicity alpha^2 times its count.  Distinct
+    representatives give distinct roots, so nothing merges."""
+    e = alpha * alpha
+    minus_c = _qneg(c)
+    return {_qadd(rho, minus_c): k * e for rho, k in counts.items()}
+
+
+def _fold_center(counts: Mapping[_Q, int], alpha: int, p: int | None) -> _Q:
+    """The integral center the unit-disc fold takes (module docstring): the
+    representatives' center of symmetry c when it is integral, else their
+    median, the (alpha // 2)-th of them in ascending order with repeats.
+
+    The representatives are symmetric about c exactly when every one,
+    rho, occurs as often as 2c - rho; c is the midpoint of the least and the
+    greatest.  Pairs are ordered as integers over the lcm of their
+    denominators.  ``p`` is the prime of a p-adic field, whose integral
+    rationals are those with a denominator prime to p, and None on the
+    Hahn backend, where every rational is integral.
+    """
+    L = lcm(*[d for _, d in counts])
+    ordered = sorted(counts, key=lambda rho: rho[0] * (L // rho[1]))
+    ends = _qadd(ordered[0], ordered[-1])  # 2c
+    c = _qmul(ends, (1, 2))
+    if (p is None or c[1] % p) and all(counts.get(_qadd(ends, _qneg(rho))) == k
+                                       for rho, k in counts.items()):
+        return c
+    k = alpha // 2
+    for rho in ordered:
+        k -= counts[rho]
+        if k < 0:
+            break
+    return rho
+
+
 # ---------------------------------------------------------------------------
 # the family itself
 
@@ -343,20 +398,26 @@ class RepProductFamily:
     def field(self) -> Field:
         return self.scheme.field
 
-    def _roots(self, alpha: int, center: Fraction) -> list[tuple[Fraction, int]]:
-        """member(alpha)'s roots at x = center + y: lambda_beta - center, each
-        of multiplicity alpha^2."""
+    def _rep_counts(self, alpha: int) -> dict[_Q, int]:
+        """How often each representative lambda_beta, beta <= alpha, occurs,
+        keyed by its reduced int pair; each is read once."""
         if alpha < 0:
             raise ValueError("family index must be a natural number")
-        return [(self.scheme.rep_rational_fn(beta) - center, alpha * alpha)
-                for beta in range(alpha + 1)]
+        rep = self.scheme.rep_rational_fn
+        counts: dict[_Q, int] = {}
+        for beta in range(alpha + 1):
+            rho = rep(beta)
+            key = (rho.numerator, rho.denominator)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
-    def _expansion(self, alpha: int, center: Fraction) -> _Expansion:
+    def _expansion(self, alpha: int, center: Rational) -> _Expansion:
         """member(alpha) at x = center + y."""
-        return _linear_power_product(self._roots(alpha, center))
+        c = (center.numerator, center.denominator)
+        return _linear_power_product(_translated(self._rep_counts(alpha), alpha, c))
 
     def member(self, alpha: int) -> SparsePoly:
-        expansion = self._expansion(alpha, Fraction(0))
+        expansion = self._expansion(alpha, 0)
         return SparsePoly(self.field, 1, {
             (j,): self.field.from_rational(Fraction(value, expansion.lead))
             for j, value in zip(count(expansion.shift, expansion.step), expansion.numerators)
@@ -396,24 +457,8 @@ class RepProductFamily:
         stream is over lead 1: coefficient j moves by the unit Q^(n - j),
         which keeps the degree and each valuation (module docstring).
         """
-        if alpha < 0:
-            raise ValueError("family index must be a natural number")
-        if radius_valuation < 0:
-            raise ValueError("radius valuation must be >= 0")
-        c, q = (Fraction(0), None) if center is None else self.field.split_constant(center.q)
-        r = self.field.check_valuation(radius_valuation)
-        if q is not None and q < r:
-            r = q
-        if r == 0 and self._is_integral(c):
-            # on the unit disc every integral center gives the same degree
-            # and Gauss valuation; the center of symmetry makes the member
-            # even, else the median, an integral representative, halves the
-            # roots (module docstring)
-            reps = sorted(self.scheme.rep_rational_fn(beta) for beta in range(alpha + 1))
-            c = (reps[0] + reps[-1]) / 2
-            if not (self._is_integral(c)
-                    and all(a + b == 2 * c for a, b in zip(reps, reversed(reps)))):
-                c = reps[alpha // 2]
+        r, _, _, roots = self._fold_setup(alpha, center, radius_valuation)
+        expansion = _linear_power_product(roots)
         if isinstance(self.field, PAdicField):
             p = self.field.p
 
@@ -422,16 +467,6 @@ class RepProductFamily:
         else:
             def valuation(n: int) -> int:
                 return 0  # a nonzero rational constant is a Hahn unit
-
-        # clear the roots' denominator when they share one and it is a unit:
-        # coefficient j moves by a unit power of it, and the stream is over
-        # lead 1 (module docstring)
-        roots = self._roots(alpha, c)
-        denominators = {mu.denominator for mu, _ in roots if mu}
-        scale = denominators.pop() if len(denominators) == 1 else 1
-        if not self._is_integral(Fraction(1, scale)):
-            scale = 1
-        expansion = _linear_power_product([(mu * scale, e) for mu, e in roots])
 
         # min over j of v(c_j) + j r, times r's denominator to stay in ints;
         # the stream ends on lead != 0, so some numerator is nonzero
@@ -447,10 +482,48 @@ class RepProductFamily:
                             least = scaled
         except CheckFailed as exc:
             raise CheckFailed(f"member alpha={alpha}: {exc}") from None
-        return degree, NormValue.of(Fraction(least, den) - valuation(expansion.lead))
+        return degree, NormValue(Fraction(least - den * valuation(expansion.lead), den))
 
-    def _is_integral(self, q: Fraction) -> bool:
-        return self.field.from_rational(q).valuation() >= NormValue.of(0)
+    def _fold_setup(self, alpha: int, center: Scalar | None,
+                    radius_valuation: Fraction) -> tuple[Fraction, _Q, int, dict[_Q, int]]:
+        """The fold's radius valuation, its center c as a reduced int pair,
+        the scale its roots were multiplied by, and those roots, mapped to
+        their multiplicities (``_degree_and_gauss``).
+
+        The representatives are read once, as int pairs merged by count, and
+        all the set-up runs on those pairs.  A denominator is a unit exactly
+        when p does not divide it, on a p-adic field, and always on the
+        Hahn backend, whose nonzero rational constants are all units; so a
+        rational center is integral when its denominator is a unit.
+        """
+        counts = self._rep_counts(alpha)
+        if radius_valuation < 0:
+            raise ValueError("radius valuation must be >= 0")
+        field = self.field
+        if center is None:
+            c, q = _ZERO, None
+        else:
+            c0, q = field.split_constant(center.q)
+            c = (c0.numerator, c0.denominator)
+        r = field.check_valuation(radius_valuation)
+        if q is not None and q < r:
+            r = q
+        p = field.p if isinstance(field, PAdicField) else None
+        if r == 0 and (p is None or c[1] % p):
+            # on the unit disc every integral center gives the same degree
+            # and Gauss valuation (module docstring)
+            c = _fold_center(counts, alpha, p)
+        roots = _translated(counts, alpha, c)
+        # clear the roots' denominator when they share one and it is a unit:
+        # coefficient j moves by a unit power of it, and the stream is over
+        # lead 1 (module docstring)
+        denominators = {d for (n, d) in roots if n}
+        scale = denominators.pop() if len(denominators) == 1 else 1
+        if p is not None and not scale % p:
+            scale = 1
+        if scale != 1:
+            roots = {_qmul(mu, (scale, 1)): e for mu, e in roots.items()}
+        return r, c, scale, roots
 
     def family(self) -> CoefficientFamily:
         return CoefficientFamily(self.field, 1, lambda a: self._degree_and_gauss(a[0])[1])

@@ -8,7 +8,11 @@ at a stated order.  Everything here is exact:
     the contract apply(compose(P, Q), f) == apply(P, apply(Q, f));
   * symbol_coefficient recovers the coefficient family of a black-box
     endomorphism from its values on monomials, and roundtrip_report checks
-    that recovery is exact on a concrete operator;
+    that recovery is exact on a concrete operator; the oracle of an
+    operator reads each monomial image P(x^beta) = sum over alpha <= beta
+    of w(beta, alpha) a_alpha x^(beta - alpha) straight off the
+    coefficients (w a binomial or a falling factorial), with no monomial
+    built, and so does the norm bracket's action side;
   * the norm bracket computes the operator norm on a polydisc from the
     monomial images and from the coefficients, and the two sides are equal:
     in the unit polydisc's coordinates, alpha! b_alpha is an integer
@@ -16,7 +20,9 @@ at a stated order.  Everything here is exact:
     coefficient norm and the norm as an endomorphism are one number; both
     sides are read after one translation, with the radii as weights over
     their common denominator L (Polydisc.weights), so the coefficient side
-    builds one Fraction per alpha;
+    builds one Fraction per alpha, and the action side takes one least
+    valuation over the terms of every image, on integer weights, and
+    builds one Fraction in all;
   * the decay report reads one sup valuation per coefficient on a small
     subdisc, and takes the operator norm there from those same valuations.
 
@@ -159,6 +165,22 @@ def apply_operator(P: DiffOperator, f: SparsePoly) -> SparsePoly:
     return _combine(P.field, P.dim, parts)
 
 
+def _monomial_image(P: DiffOperator, beta: MultiIndex) -> SparsePoly:
+    """P(x^beta) = sum over alpha <= beta of w(beta, alpha) a_alpha
+    x^(beta - alpha), read straight off the coefficients: w is the binomial
+    C(beta, alpha) for divided powers and the falling factorial
+    beta! / (beta - alpha)! for plain ones, an integer applied with the
+    field's ``times``.  This is apply_operator on the monomial x^beta, with
+    no monomial built (apply_operator stays the path for a general f)."""
+    divided, sub = P.divided, operator.sub
+    parts = []
+    for alpha, a in P.coeffs.items():
+        k = mi_binomial(beta, alpha) if divided else mi_falling(beta, alpha)
+        if k:  # alpha <= beta, so the gap cannot underflow
+            parts.append((a.coeffs.items(), (k, 1), tuple(map(sub, beta, alpha))))
+    return _combine(P.field, P.dim, parts, rational=True)
+
+
 def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
     """Operator composition P then-applied-after Q.
 
@@ -213,8 +235,7 @@ class EndoOracle:
     @classmethod
     def from_operator(cls, P: DiffOperator, degree_cap: int | None = None) -> "EndoOracle":
         cap = P.order if degree_cap is None else degree_cap
-        return cls(P.field, P.dim, cap,
-                   lambda beta: apply_operator(P, SparsePoly.monomial(P.field, P.dim, beta)))
+        return cls(P.field, P.dim, cap, lambda beta: _monomial_image(P, beta))
 
     def query(self, beta: MultiIndex) -> SparsePoly:
         beta = tuple(beta)
@@ -431,13 +452,16 @@ def _norm_bracket_terms(P: DiffOperator,
         raise ValueError("operator and domain dimensions differ")
     moved, sups = _translate_to_center(P, domain)
     weights, denominator = domain.weights
-    lower = NormValue.infinite()
+    # the sup valuation of P y^delta less that of y^delta on the polydisc,
+    # least over delta: v(c) + (sum gamma_i w_i - sum delta_i w_i) / L over
+    # the terms c y^gamma of every image, compared as integers
+    values, offsets = [], []
     for delta in mi_up_to_total(P.dim, P.order):
-        image = apply_operator(moved, SparsePoly.monomial(P.field, P.dim, delta))
-        # the sup valuation of P y^delta less that of y^delta on the polydisc
         shift = sum(map(operator.mul, delta, weights))
-        lower = min(lower, image.weighted_valuation(weights, denominator)
-                    + NormValue(Fraction(-shift, denominator)))
+        for gamma, coeff in _monomial_image(moved, delta).coeffs.items():
+            values.append(coeff.q)
+            offsets.append(sum(map(operator.mul, gamma, weights)) - shift)
+    lower = NormValue(P.field.min_valuation(values, offsets, denominator))
     upper, terms = _coefficient_side(P.field, domain.weights, sups)
     return lower, upper, sups, terms
 

@@ -66,7 +66,7 @@ MUTANTS = [
            "            w -= 2 * A[1]\n",
            COUNTEREXAMPLE),
     Mutant("roots scaled by a common denominator that is not a unit", "counterexample.py",
-           "        if not self._is_integral(Fraction(1, scale)):\n"
+           "        if p is not None and not scale % p:\n"
            "            scale = 1\n",
            "",
            COUNTEREXAMPLE),
@@ -75,14 +75,23 @@ MUTANTS = [
            "        scale = max(denominators, default=1)\n",
            COUNTEREXAMPLE),
     Mutant("mu paired with -mu without comparing multiplicities", "counterexample.py",
-           "    if all(merged.get(-mu) == e for mu, e in merged.items()):\n",
-           "    if all(-mu in merged for mu in merged):\n",
+           "    if all(live.get((-n, d)) == e for (n, d), e in live.items()):\n",
+           "    if all((-n, d) in live for n, d in live):\n",
            COUNTEREXAMPLE),
-    # the fold
+    # the fold and its set-up on int pairs
     Mutant("fold about a non-integral midpoint", "counterexample.py",
-           "            if not (self._is_integral(c)\n"
-           "                    and all(",
-           "            if not (all(",
+           "    if (p is None or c[1] % p) and all(",
+           "    if all(",
+           COUNTEREXAMPLE),
+    Mutant("median walk off by one", "counterexample.py",
+           "        if k < 0:\n"
+           "            break\n",
+           "        if k <= 0:\n"
+           "            break\n",
+           COUNTEREXAMPLE),
+    Mutant("reflection taken about 2c + rho", "counterexample.py",
+           "counts.get(_qadd(ends, _qneg(rho)))",
+           "counts.get(_qadd(ends, rho))",
            COUNTEREXAMPLE),
     Mutant("fold reads numerator k at degree shift + k", "counterexample.py",
            "            for j, value in zip(count(expansion.shift, expansion.step), "
@@ -196,8 +205,12 @@ MUTANTS = [
            "        minus_c = c.q\n",
            OPERATORS),
     Mutant("action side without its -sum delta_i r_i", "operators.py",
-           "                    + NormValue(Fraction(-shift, denominator)))\n",
-           "                    )\n",
+           "            offsets.append(sum(map(operator.mul, gamma, weights)) - shift)\n",
+           "            offsets.append(sum(map(operator.mul, gamma, weights)))\n",
+           OPERATORS),
+    Mutant("monomial image uses falling factorials for divided operators", "operators.py",
+           "        k = mi_binomial(beta, alpha) if divided else mi_falling(beta, alpha)\n",
+           "        k = mi_falling(beta, alpha)\n",
            OPERATORS),
     Mutant("coefficient side without v(alpha!)", "operators.py",
            "        k = sum(map(factorial_valuation, alpha)) * L"
@@ -231,6 +244,11 @@ MUTANTS = [
            "        coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation()))\n",
            "        coefficients.append((alpha, a.gauss_valuation(), a.gauss_valuation()))\n",
            OPERATORS),
+    # the command line
+    Mutant("suite's parser misses classify", "cli.py",
+           "_SUITE_COMMANDS = (\"suite\", \"identity\", *(argv[0] for _, argv in _SUITE_RUNS))\n",
+           "_SUITE_COMMANDS = (\"suite\", \"identity\", \"roundtrip\", \"counterexample\")\n",
+           CLI),
 ]
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nadops.cli
 from nadops import affinoid, counterexample
@@ -114,13 +117,15 @@ def test_bad_input_exits_two_without_traceback(argv, sample_op):
 
 
 def break_member_three(monkeypatch):
-    """Make the stream of member(3) (four roots) fail its integrality check
-    partway through, as a broken recurrence would."""
+    """Make the stream of member(3) fail its integrality check partway
+    through, as a broken recurrence would.  The kernel takes the roots
+    merged by multiplicity; member(alpha)'s multiplicities sum to its degree
+    (alpha + 1) alpha^2, which is 36 only at alpha = 3."""
     real = counterexample._linear_power_product
 
     def broken(roots):
         expansion = real(roots)
-        if len(roots) != 4:
+        if sum(roots.values()) != 36:
             return expansion
 
         def numerators():
@@ -565,13 +570,61 @@ def test_suite_csv_has_report_column(capsys):
 
 
 def test_suite_parses_its_runs_with_the_parser_main_built(capsys, monkeypatch):
-    real, built = nadops.cli.build_parser, []
+    # one build, of the suite and the commands its runs name
+    real, built, selections = nadops.cli.build_parser, [], []
 
-    def counted():
-        built.append(real())
+    def counted(commands=None):
+        selections.append(commands)
+        built.append(real(commands))
         return built[-1]
 
     monkeypatch.setattr(nadops.cli, "build_parser", counted)
     code, _, _ = run(capsys, "suite", "--seed", "21")
     assert code == 0
     assert len(built) == 1
+    assert sorted(set(selections[0])) == ["classify", "counterexample", "identity",
+                                          "roundtrip", "suite"]
+
+
+# words a drawn argv is made of: every command and option of the parser,
+# values each option takes or refuses, abbreviations, and words that are
+# none of these
+ARGV_WORDS = [
+    *nadops.cli._COMMANDS, "bogus", "-h", "--help", "--", "--bogus", "claim1", "claim2",
+    "claim3", "--backend", "p=2", "p=4", "hahn", "--seed", "--format", "csv", "xml",
+    "--count", "--cou", "--d", "--alpha-max", "--degree-cap", "--operator", "x.op",
+    "--gamma-cap", "--r-max", "--index-cap", "--domain", "{}", "--radius-valuation",
+    "--scheme", "rational", "--mode", "disc", "laurent", "--center", "--hole-center",
+    "--hole-radius-valuation", "--beta-max", "--delta-max", "--n", "0", "3", "-1", "1/2",
+    "1/0", "",
+]
+
+
+def parsed(parser, argv):
+    """('namespace', its attributes) or ('exit', code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace = parser.parse_args(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    attributes = vars(namespace)
+    # the suite carries the parser that parsed it, which is its own build
+    assert attributes.pop("parser", parser) is parser
+    return ("namespace", attributes)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+@example([])
+@example(["-h"])
+@example(["suite", "-h"])
+@example(["counterexample", "claim1", "--mode", "disc", "--center", "1/2"])
+@example(["roundtrip", "--cou", "3"])
+@example(["bogus", "roundtrip"])
+@example(["--backend", "p=2", "roundtrip"])
+def test_the_parser_a_run_builds_parses_as_the_full_parser(argv):
+    # the same namespace, or the same exit code, help text and error
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        subset = nadops.cli.build_parser(nadops.cli._reachable_commands(argv))
+        assert parsed(subset, argv) == parsed(nadops.cli.build_parser(), argv)

@@ -76,10 +76,20 @@ def expansion_on_subdisc(fam: RepProductFamily, alpha: int, c: Fraction,
         if value})
 
 
+def root_map(roots: list[tuple[Fraction, int]]) -> dict[tuple[int, int], int]:
+    """Rational roots with multiplicities as the kernel takes them: each
+    root's reduced int pair, mapped to its summed multiplicity."""
+    merged: dict[tuple[int, int], int] = {}
+    for mu, e in roots:
+        key = (mu.numerator, mu.denominator)
+        merged[key] = merged.get(key, 0) + e
+    return merged
+
+
 def expand(roots: list[tuple[Fraction, int]]) -> list[Fraction]:
     """The streamed expansion written out as ascending coefficients:
     numerator k is the coefficient of x^(shift + step k)."""
-    expansion = _linear_power_product(roots)
+    expansion = _linear_power_product(root_map(roots))
     out: list[Fraction] = []
     for j, c in zip(count(expansion.shift, expansion.step), expansion.numerators):
         out += [Fraction(0)] * (j - len(out)) + [Fraction(c, expansion.lead)]
@@ -192,11 +202,11 @@ def test_linear_power_product_examples():
         Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
     assert expand([]) == [Fraction(1)]
     # the stream is integral over the leading denominator
-    expansion = _linear_power_product([(Fraction(0), 1), (Fraction(1, 2), 2)])
+    expansion = _linear_power_product(root_map([(Fraction(0), 1), (Fraction(1, 2), 2)]))
     assert (expansion.shift, expansion.lead) == (1, 4)
     assert list(expansion.numerators) == [1, -4, 4]
     with pytest.raises(ValueError):
-        _linear_power_product([(Fraction(1), -1)])
+        _linear_power_product(root_map([(Fraction(1), -1)]))
 
 
 ROOTS = st.lists(
@@ -242,7 +252,7 @@ def symmetric_roots(draw):
 @example([(Fraction(-7, 3), 5), (Fraction(7, 3), 5)])
 def test_even_expansion_matches_two_loop_recurrence(roots):
     # an even product streams its coefficients of even degree, in x^2
-    assert _linear_power_product(roots).step == 2
+    assert _linear_power_product(root_map(roots)).step == 2
     assert expand(roots) == two_loop_linear_power_product(roots)
 
 
@@ -500,6 +510,146 @@ def test_fold_scales_only_a_common_unit_denominator():
         with mock.patch.object(counterexample, "_linear_power_product", spying):
             fam._degree_and_gauss(4, half, Fraction(1, 2))
         assert leads == [lead], scheme.name
+
+
+def fraction_fold_setup(fam: RepProductFamily, alpha: int, center, radius_valuation: Fraction):
+    """The fold's set-up as first written, on Fractions: (r, center, scale,
+    the scaled roots as a list of (mu, alpha^2)).  The pair set-up of
+    RepProductFamily._fold_setup must agree with it."""
+    field = fam.field
+
+    def integral(q: Fraction) -> bool:
+        return field.from_rational(q).valuation() >= NormValue.of(0)
+
+    c, q = (Fraction(0), None) if center is None else field.split_constant(center.q)
+    r = field.check_valuation(radius_valuation)
+    if q is not None and q < r:
+        r = q
+    if r == 0 and integral(c):
+        reps = sorted(fam.scheme.rep_rational_fn(beta) for beta in range(alpha + 1))
+        c = (reps[0] + reps[-1]) / 2
+        if not (integral(c) and all(a + b == 2 * c for a, b in zip(reps, reversed(reps)))):
+            c = reps[alpha // 2]
+    roots = [(fam.scheme.rep_rational_fn(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
+    denominators = {mu.denominator for mu, _ in roots if mu}
+    scale = denominators.pop() if len(denominators) == 1 else 1
+    if not integral(Fraction(1, scale)):
+        scale = 1
+    return r, c, scale, [(mu * scale, e) for mu, e in roots]
+
+
+def fraction_recurrence_inputs(roots: list[tuple[Fraction, int]]):
+    """What _linear_power_product computed from Fraction roots before its
+    stream, as first written: (shift, step, A, B, base, c0, lead), with A,
+    B, base and c0 None when no nonzero root is left."""
+    merged: dict[Fraction, int] = {}
+    for mu, e in roots:
+        if e:
+            merged[mu] = merged.get(mu, 0) + e
+    shift = merged.pop(Fraction(0), 0)
+    step = 1
+    if all(merged.get(-mu) == e for mu, e in merged.items()):
+        merged = {mu * mu: e for mu, e in merged.items() if mu > 0}
+        step = 2
+    live = sorted(merged.items())
+    if not live:
+        return shift, 1, None, None, None, None, 1
+    pairs = [(mu.numerator, mu.denominator, e) for mu, e in live]
+
+    def poly_mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    linears = [[-p, q] for p, q, _ in pairs]
+    prefix = [[1]]
+    for lin in linears:
+        prefix.append(poly_mul(prefix[-1], lin))
+    suffix = [[1]] * (len(linears) + 1)
+    for i in range(len(linears) - 1, -1, -1):
+        suffix[i] = poly_mul(suffix[i + 1], linears[i])
+    A = prefix[-1]
+    B = [0] * (len(A) - 1)
+    for i, (p, q, e) in enumerate(pairs):
+        partial = poly_mul(prefix[i], suffix[i + 1])
+        w = e * q
+        for j, y in enumerate(partial):
+            B[j] += w * y
+    base = [B[j] + j * A[j + 1] for j in range(len(pairs))]
+    c0 = lead = 1
+    for p, q, e in pairs:
+        c0 *= (-p) ** e
+        lead *= q ** e
+    return shift, step, A, B, base, c0, lead
+
+
+@st.composite
+def setup_cases(draw):
+    """A scheme, an index up to 12, a center and a radius valuation: no
+    center, a center on a representative, a rational center off them (p
+    may divide its denominator), or on the Hahn schemes a series center."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    alpha = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["none", "rep", "rational", "series"]
+                                if isinstance(scheme.field, HahnField)
+                                else ["none", "rep", "rational"]))
+    center = None
+    if kind != "none":
+        c0 = draw(st.integers(0, alpha + 2).map(scheme.rep_rational_fn) if kind == "rep"
+                  else st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10)))
+        terms = [(Fraction(0), c0)]
+        if kind == "series":
+            terms.append((draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))),
+                          draw(st.integers(1, 4))))
+        center = scheme.field.from_terms(terms) if kind == "series" \
+            else scheme.field.from_rational(c0)
+    if isinstance(scheme.field, PAdicField):
+        radius = Fraction(draw(st.integers(0, 3)))
+    else:
+        radius = draw(st.builds(Fraction, st.integers(0, 7), st.integers(1, 4)))
+    return scheme, alpha, center, radius
+
+
+@settings(deadline=None, max_examples=300)
+@given(setup_cases())
+# p=3 alpha=4 on the unit disc: the median walk ends exactly on a count
+@example((SCHEMES[1], 4, None, Fraction(0)))
+# Hahn at odd alpha: the half-integral center of symmetry, roots cleared by 2
+@example((SCHEMES[3], 7, None, Fraction(0)))
+# the rational scheme about 1/2, roots of different denominators, unscaled
+@example((SCHEMES[4], 6, HAHN.from_rational(Fraction(1, 2)), Fraction(1, 2)))
+# p=5 about 1/3 at radius 1: every root has the unit denominator 3
+@example((SCHEMES[2], 9, PAdicField(5).from_rational(Fraction(1, 3)), Fraction(1)))
+# p=2 about 1/2 on the unit disc: not integral, so the center stays
+@example((SCHEMES[0], 5, P2.from_rational(Fraction(1, 2)), Fraction(0)))
+def test_pair_setup_matches_the_fraction_setup(case):
+    # the center, the scale, the merged roots and the recurrence's inputs
+    scheme, alpha, center, radius = case
+    fam = RepProductFamily(scheme)
+    r, c, scale, roots = fam._fold_setup(alpha, center, radius)
+    old_r, old_c, old_scale, old_roots = fraction_fold_setup(fam, alpha, center, radius)
+    assert (r, Fraction(*c), scale) == (old_r, old_c, old_scale)
+    assert roots == root_map(old_roots)
+    streamed = []
+
+    def spy(c0, base, A, n, lead):
+        streamed.append((A, base, c0, lead))
+        return iter(())
+
+    with mock.patch.object(counterexample, "_numerator_stream", spy):
+        expansion = _linear_power_product(roots)
+    shift, step, A, B, base, c0, lead = fraction_recurrence_inputs(old_roots)
+    assert (expansion.shift, expansion.step, expansion.lead) == (shift, step, lead)
+    if A is None:
+        assert streamed == []
+    else:
+        [(new_A, new_base, new_c0, new_lead)] = streamed
+        # base[j] = B[j] + j A[j + 1] at each of the s lags, and B has s terms
+        new_B = [b - j * new_A[j + 1] for j, b in enumerate(new_base)]
+        assert (new_A, new_B, new_base, new_c0, new_lead) == (A, B, base, c0, lead)
 
 
 @settings(deadline=None, max_examples=150)

@@ -41,7 +41,9 @@ from nadops.operators import (
     random_poly,
     roundtrip_report,
     _coefficient_side,
+    _monomial_image,
     _norm_bracket_terms,
+    _translate_to_center,
     _shifted_monomial_basis,
     random_scalar,
     symbol_coefficient,
@@ -502,6 +504,49 @@ def test_norm_bracket_terms_match_the_sigma_conjugated_oracle(field, dim, order,
     lower, upper, sups, _ = _norm_bracket_terms(P, dom)
     assert (lower, upper, sups) == sigma_bracket_terms(P, dom)
     assert sups == {alpha: sup_norm(P.plain_coefficient(alpha), dom) for alpha in P.coeffs}
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 3), st.booleans(), st.integers(0, 10_000), st.data())
+@settings(max_examples=80)
+def test_monomial_image_matches_apply_operator(field, dim, order, degree, divided, seed, data):
+    # read straight off the coefficients, P(x^beta) is what apply_operator
+    # makes of the monomial, for plain and divided powers, with beta below,
+    # at and above the order
+    rng = random.Random(seed)
+    P = random_operator(rng, field, dim, order, degree)
+    P = DiffOperator.make(field, dim, P.coeffs, P.order, divided)
+    beta = tuple(data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)))
+    assert _monomial_image(P, beta) == apply_operator(P, SparsePoly.monomial(field, dim, beta))
+
+
+def norm_value_action_side(P, domain):
+    """The action side as the sum of NormValues it was first written as:
+    least over delta of the weighted valuation of P_c y^delta, plus the
+    NormValue of -sum delta_i w_i / L."""
+    moved, _ = _translate_to_center(P, domain)
+    weights, denominator = domain.weights
+    lower = NormValue.infinite()
+    for delta in mi_up_to_total(P.dim, P.order):
+        image = apply_operator(moved, SparsePoly.monomial(P.field, P.dim, delta))
+        shift = sum(w * d for w, d in zip(weights, delta))
+        lower = min(lower, image.weighted_valuation(weights, denominator)
+                    + NormValue(Fraction(-shift, denominator)))
+    return lower
+
+
+@given(st.sampled_from([P2, P3, P5, HAHN]), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 3), st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=80)
+def test_action_side_matches_the_norm_value_formula(field, dim, order, degree, divided, seed):
+    # one least valuation over every image's terms, on integer weights over
+    # L, reads what the per-delta NormValue sums read
+    rng = random.Random(seed)
+    P = random_operator(rng, field, dim, order, degree)
+    P = DiffOperator.make(field, dim, P.coeffs, P.order, divided)
+    dom = random_polydisc(rng, field, dim)
+    lower, _, _, _ = _norm_bracket_terms(P, dom)
+    assert lower == norm_value_action_side(P, dom)
 
 
 def test_norm_bracket_builds_no_sigma(monkeypatch):

@@ -163,12 +163,32 @@ SEEDED_ROUNDTRIP_ARGVS = [
     ["roundtrip", "--backend", "hahn", "--count", "20", "--seed", "5"],
 ]
 
-# sha256 of the stdout of these argvs: the README's whole sweep and its
+# claim 1 on the Hahn rational scheme, both modes at the defaults; and discs
+# about centres off the representatives on p=3 and p=5, whose roots share a
+# unit denominator that the fold clears
+OFF_REPRESENTATIVE_ARGVS = [
+    ["counterexample", "claim1", "--backend", "hahn", "--scheme", "rational"],
+    ["counterexample", "claim1", "--backend", "p=3", "--mode", "disc", "--center", "1/2",
+     "--radius-valuation", "2", "--alpha-max", "8"],
+    ["counterexample", "claim1", "--backend", "p=5", "--mode", "disc", "--center", "1/3",
+     "--radius-valuation", "1", "--alpha-max", "8"],
+]
+
+# the help of the program and of every command (printed at COLUMNS=80),
+# and the one-line errors of no command, an unknown command and an unknown
+# option
+COMMANDS = ["roundtrip", "identity", "classify", "norms", "counterexample", "symbol",
+            "decay", "suite"]
+HELP_ARGVS = [["-h"]] + [[command, "-h"] for command in COMMANDS]
+ERROR_ARGVS = [[], ["bogus"], ["roundtrip", "--bogus"]]
+
+# sha256 of the stdout of these argvs (of the stderr for ERROR_ARGVS): the README's whole sweep and its
 # roundtrip example, a p-adic roundtrip, a csv suite, the operator-file
 # reports (norms also on the default domain), the claim-1 discs, the
 # series-center disc, claim 2, the symmetric discs, the discs about
 # unit-denominator centers, the reports at large radius valuations, the
-# reports about zero centre coordinates and the seeded roundtrips;
+# reports about zero centre coordinates, the seeded roundtrips, the
+# reports off the representatives, the help texts and the errors;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -262,6 +282,36 @@ PINNED_SHA256 = {
         "744a687ec37489637704eebfe3f2bb4e1878f8f20f1ae795be0cdd92b8ba6177",
     tuple(SEEDED_ROUNDTRIP_ARGVS[1]):
         "25c6a8acd982b4a3da88993349560f769711d22ba9efca45be18398302e29274",
+    tuple(OFF_REPRESENTATIVE_ARGVS[0]):
+        "39ceb9c4df4dae89ba7fc5d558c7dcb048d8ab63348415cab759235f99cfb273",
+    tuple(OFF_REPRESENTATIVE_ARGVS[1]):
+        "05c6b187a6bdd9c35d5af9a1c64914ed95250e8d7fe630f180fcb4ae4af2fc33",
+    tuple(OFF_REPRESENTATIVE_ARGVS[2]):
+        "fa71c6671e6e6065fcb2fd6b95c44a76b46505e690c28bb6a0f577efcd93fa0e",
+    tuple(HELP_ARGVS[0]):
+        "07d486185b656e32c318e2151325de524897a66b4f031dc71d01a7eebcabedbf",
+    tuple(HELP_ARGVS[1]):
+        "c699bb622fbcdb8628a498d939dee09a074119dc8166c3c91503474377731509",
+    tuple(HELP_ARGVS[2]):
+        "e121382b7df48e34dd252d7786555948d0f015e493e36cf6b958cc0f343f5138",
+    tuple(HELP_ARGVS[3]):
+        "b55aa73d2f6ce7b590e1757abfbab0f8681ef5766b8248a7dd7b508c118126d1",
+    tuple(HELP_ARGVS[4]):
+        "67f336cfdf011071ef74d2be3c0f6c40d0955e150524da98ed61d503112034c3",
+    tuple(HELP_ARGVS[5]):
+        "40bd39743493ce310d5308baee909e3080c1989c45a967ffd9d84a2fbc551c33",
+    tuple(HELP_ARGVS[6]):
+        "1b21cc414ada99cb28e27dcf6ea6bd4f5afb70300eab1f5f1953b39ceb3127f4",
+    tuple(HELP_ARGVS[7]):
+        "a32c195b2e0f31e98898e17877de7e95ce300e74db378eadaad579c2e44a305d",
+    tuple(HELP_ARGVS[8]):
+        "3d59b01bca97992f69a0743833a87d9497fcb24133551431314451cc4ca788bc",
+    tuple(ERROR_ARGVS[0]):
+        "398a71844e12cf1130e8120e26594978f8c8e18f9dc1ee972324c143698a7cad",
+    tuple(ERROR_ARGVS[1]):
+        "f5382e8f5ffc3abd772876f841a52e525e04781e612394d44e6c68597b1a14ca",
+    tuple(ERROR_ARGVS[2]):
+        "300aaba1799c8a73b13696219971f3b910ae72b9e016a41e61bfe7d5abce4993",
 }
 
 
@@ -297,6 +347,7 @@ def test_no_assert_statements(name):
     *LARGE_RADIUS_ARGVS,
     *ZERO_CENTRE_ARGVS,
     *SEEDED_ROUNDTRIP_ARGVS,
+    *OFF_REPRESENTATIVE_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     for name, text in OPERATOR_FILES.items():
@@ -313,6 +364,21 @@ def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
     assert plain.stdout and plain.stdout == optimized.stdout
     if tuple(argv) in PINNED_SHA256:
         assert hashlib.sha256(plain.stdout).hexdigest() == PINNED_SHA256[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS + ERROR_ARGVS, ids=" ".join)
+def test_help_and_error_texts_keep_their_bytes(argv, tmp_path):
+    # help goes to stdout with exit 0, an error to stderr with exit 2; the
+    # width is fixed, since argparse wraps help to the terminal's
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), COLUMNS="80")
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, "-m", "nadops.cli", *argv],
+                          capture_output=True, env=env, timeout=60, cwd=tmp_path)
+    helps = argv in HELP_ARGVS
+    printed, silent = (proc.stdout, proc.stderr) if helps else (proc.stderr, proc.stdout)
+    assert proc.returncode == (0 if helps else 2), proc.stderr
+    assert silent == b""
+    assert hashlib.sha256(printed).hexdigest() == PINNED_SHA256[tuple(argv)]
 
 
 @pytest.mark.parametrize("backend,path,domain", OPERATOR_CASES)
@@ -339,16 +405,18 @@ def test_norms_substitutes_each_coefficient_once(backend, path, domain, tmp_path
                          [case for case in OPERATOR_CASES if case[1] in ("p2.op", "hahn.op")])
 def test_norms_divides_each_coefficient_by_its_factorial_once(backend, path, domain, tmp_path,
                                                              monkeypatch, capsys):
-    # the rows, the bracket and the seminorm read one plain operator
+    # the rows, the bracket and the seminorm read one plain operator; a
+    # divided-power coefficient is divided by alpha! only when a divided
+    # operator gives its plain coefficient
     (tmp_path / path).write_text(OPERATOR_FILES[path], encoding="utf-8")
-    real = operators._combine
+    real = operators.DiffOperator.plain_coefficient
     divisions = []
 
-    def counted(*args, rational=False):
-        divisions.append(rational)
-        return real(*args, rational=rational)
+    def counted(self, alpha):
+        divisions.append(self.divided)
+        return real(self, alpha)
 
-    monkeypatch.setattr(operators, "_combine", counted)
+    monkeypatch.setattr(operators.DiffOperator, "plain_coefficient", counted)
     code = main(["norms", "--backend", backend, "--operator", str(tmp_path / path),
                  "--domain", domain])
     capsys.readouterr()
