@@ -222,17 +222,14 @@ class SparsePoly:
             n >>= 1
         return result
 
-    def derivative(self, order: MultiIndex, divided: bool = False) -> "SparsePoly":
-        """Plain d^order, or the divided power d^order / order! when asked.
-
-        Exact in characteristic zero either way: the coefficients picked up
-        are falling factorials, resp. binomials.
-        """
+    def derivative(self, order: MultiIndex) -> "SparsePoly":
+        """The plain derivative d^order, exactly: the coefficients picked up
+        are the falling factorials exponent! / (exponent - order)!."""
         field = self.field
-        weight, times = (mi_binomial if divided else mi_falling), field.times
+        times = field.times
         acc: dict[MultiIndex, Scalar] = {}
         for exponent, coeff in self.coeffs.items():
-            k = weight(exponent, order)
+            k = mi_falling(exponent, order)
             if k:  # nonzero only when order <= exponent, so the gap cannot underflow
                 acc[tuple(map(operator.sub, exponent, order))] = Scalar(field, times(coeff.q, (k, 1)))
         return SparsePoly(field, self.dim, acc)

@@ -182,8 +182,7 @@ def _cmd_classify(args) -> tuple[dict, list[dict]]:
 
 def _cmd_norms(args) -> tuple[dict, list[dict]]:
     field = backend_from_name(args.backend)
-    # the rows, the bracket and the seminorm all read plain coefficients
-    P = _load_operator(args.operator, field).to_plain()
+    P = _load_operator(args.operator, field)
     if args.domain:
         try:
             descriptor = json.loads(args.domain)
@@ -195,7 +194,7 @@ def _cmd_norms(args) -> tuple[dict, list[dict]]:
     lower, upper, sups, terms = _norm_bracket_terms(P, domain)
     # each row checks the decay estimate against the norm read from the action side
     rows = [{"index": list(alpha),
-             "gauss": format_valuation(P.plain_coefficient(alpha).gauss_valuation()),
+             "gauss": format_valuation(P.coeffs[alpha].gauss_valuation()),
              "sup": format_valuation(sups[alpha]),
              "pass": terms[alpha] >= lower}
             for alpha in sorted(P.coeffs)]

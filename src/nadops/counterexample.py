@@ -144,13 +144,13 @@ from .scalars import (
 class CosetRepScheme:
     """Integral representatives lambda_0, lambda_1, ... of residue classes.
 
-    Every representative is a rational constant, given by rep_rational_fn;
-    the integer expansion of the members relies on that.
+    Every representative is a rational constant, an int or a Fraction given
+    by rep_rational_fn; the integer expansion of the members relies on that.
     """
 
     field: Field
     name: str
-    rep_rational_fn: Callable[[int], Fraction]
+    rep_rational_fn: Callable[[int], Rational]
 
     def rep(self, i: int) -> Scalar:
         return self.field.from_rational(self.rep_rational_fn(i))
@@ -166,14 +166,14 @@ def cycling_scheme(field: PAdicField) -> CosetRepScheme:
     if not isinstance(field, PAdicField):
         raise ValueError("cycling scheme needs a p-adic backend")
     return CosetRepScheme(field, f"padic-cycling(p={field.p})",
-                          lambda i: Fraction(i % field.p))
+                          lambda i: i % field.p)
 
 
 def integer_scheme(field: HahnField) -> CosetRepScheme:
     """lambda_i = i: distinct residues (the residue field has characteristic 0)."""
     if not isinstance(field, HahnField):
         raise ValueError("integer scheme needs the Hahn backend")
-    return CosetRepScheme(field, "hahn-integer", lambda i: Fraction(i))
+    return CosetRepScheme(field, "hahn-integer", lambda i: i)
 
 
 def _calkin_wilf(count: int) -> list[Fraction]:
@@ -197,9 +197,9 @@ def rational_scheme(field: HahnField) -> CosetRepScheme:
         raise ValueError("rational scheme needs the Hahn backend")
     positives = _calkin_wilf(256)  # rep doubles the table on demand
 
-    def rep(i: int) -> Fraction:
+    def rep(i: int) -> Rational:
         if i == 0:
-            return Fraction(0)
+            return 0
         k, sign = divmod(i - 1, 2)
         while k >= len(positives):
             positives.extend(_calkin_wilf(2 * len(positives))[len(positives):])

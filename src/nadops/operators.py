@@ -1,8 +1,9 @@
 """Finite-order differential operators, symbol extraction, and norm brackets.
 
-An operator is a finite sum of terms a_alpha * d^alpha (or divided powers
-d^(alpha) = d^alpha / alpha!) with sparse polynomial coefficients, truncated
-at a stated order.  Everything here is exact:
+An operator is a finite sum of terms a_alpha * d^alpha with sparse
+polynomial coefficients, truncated at a stated order; DiffOperator.make
+reads the paper's divided-power coefficients b_alpha of d^alpha / alpha!
+once, as a_alpha = b_alpha / alpha!.  Everything here is exact:
 
   * apply/compose realize the Weyl-algebra action and are tied together by
     the contract apply(compose(P, Q), f) == apply(P, apply(Q, f));
@@ -10,9 +11,9 @@ at a stated order.  Everything here is exact:
     endomorphism from its values on monomials, and roundtrip_report checks
     that recovery is exact on a concrete operator; the oracle of an
     operator reads each monomial image P(x^beta) = sum over alpha <= beta
-    of w(beta, alpha) a_alpha x^(beta - alpha) straight off the
-    coefficients (w a binomial or a falling factorial), with no monomial
-    built, and so does the norm bracket's action side;
+    of beta! / (beta - alpha)! a_alpha x^(beta - alpha) straight off the
+    coefficients, with no monomial built, and so does the norm bracket's
+    action side;
   * the norm bracket computes the operator norm on a polydisc from the
     monomial images and from the coefficients, and the two sides are equal:
     in the unit polydisc's coordinates, alpha! b_alpha is an integer
@@ -87,9 +88,12 @@ INCONCLUSIVE = "inconclusive"
 class DiffOperator:
     """A truncated differential operator with polynomial coefficients.
 
-    ``coeffs`` maps derivative multi-indices to nonzero coefficient
-    polynomials; every index satisfies |alpha| <= order.  When ``divided``
-    is set, the index alpha multiplies the divided power d^alpha / alpha!.
+    ``coeffs`` maps derivative multi-indices alpha to the nonzero plain
+    coefficients a_alpha of d^alpha; every index satisfies |alpha| <= order.
+    ``divided`` only records the normalization they were given in: make
+    reads the coefficients b_alpha of divided powers d^alpha / alpha! as
+    a_alpha = b_alpha / alpha!, and operator_to_text writes alpha! a_alpha
+    back.  Equality ignores ``divided``.
     """
 
     field: Field
@@ -109,8 +113,12 @@ class DiffOperator:
                 raise ValueError(f"bad derivative index {alpha} for dimension {dim}")
             if poly.field != field or poly.dim != dim:
                 raise ValueError(f"coefficient at {alpha} has mismatched backend or dimension")
-            if not poly.is_zero:
-                clean[alpha] = poly
+            if poly.is_zero:
+                continue
+            if divided:
+                poly = _combine(field, dim, [(poly.coeffs.items(), (1, mi_factorial(alpha)), None)],
+                                rational=True)
+            clean[alpha] = poly
         top = max((mi_total(a) for a in clean), default=0)
         if order is None:
             order = top
@@ -123,59 +131,43 @@ class DiffOperator:
         return not self.coeffs
 
     def plain_coefficient(self, alpha: MultiIndex) -> SparsePoly:
-        """Coefficient of d^alpha in the plain (non divided power) expansion."""
-        alpha = tuple(alpha)
-        poly = self.coeffs.get(alpha)
-        if poly is None:
-            return SparsePoly.zero(self.field, self.dim)
-        if self.divided:
-            return _combine(self.field, self.dim,
-                            [(poly.coeffs.items(), (1, mi_factorial(alpha)), None)], rational=True)
-        return poly
-
-    def to_plain(self) -> "DiffOperator":
-        if not self.divided:
-            return self
-        coeffs = {a: self.plain_coefficient(a) for a in self.coeffs}
-        return DiffOperator(self.field, self.dim, coeffs, self.order, False)
+        """The coefficient a_alpha of d^alpha; zero when alpha is not stored."""
+        poly = self.coeffs.get(tuple(alpha))
+        return SparsePoly.zero(self.field, self.dim) if poly is None else poly
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        if (self.field, self.dim, self.order) != (other.field, other.dim, other.order):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.plain_coefficient(k) == other.plain_coefficient(k) for k in keys)
+        return ((self.field, self.dim, self.order, self.coeffs)
+                == (other.field, other.dim, other.order, other.coeffs))
 
 
 def apply_operator(P: DiffOperator, f: SparsePoly) -> SparsePoly:
     """P(f), exactly.  d^alpha x^beta = (beta! / (beta-alpha)!) x^(beta-alpha)."""
     if f.field != P.field or f.dim != P.dim:
         raise ValueError("operator and argument use different backends or dimensions")
-    weight = mi_binomial if P.divided else mi_falling
     times, sub = P.field.times, operator.sub
     image = f.coeffs.items()
     parts = []
     for alpha, a in P.coeffs.items():
         terms = a.coeffs.items()
         for exponent, coeff in image:
-            k = weight(exponent, alpha)
+            k = mi_falling(exponent, alpha)
             if k:  # alpha <= exponent, so the gap cannot underflow
                 parts.append((terms, times(coeff.q, (k, 1)), tuple(map(sub, exponent, alpha))))
     return _combine(P.field, P.dim, parts)
 
 
 def _monomial_image(P: DiffOperator, beta: MultiIndex) -> SparsePoly:
-    """P(x^beta) = sum over alpha <= beta of w(beta, alpha) a_alpha
-    x^(beta - alpha), read straight off the coefficients: w is the binomial
-    C(beta, alpha) for divided powers and the falling factorial
-    beta! / (beta - alpha)! for plain ones, an integer applied with the
-    field's ``times``.  This is apply_operator on the monomial x^beta, with
-    no monomial built (apply_operator stays the path for a general f)."""
-    divided, sub = P.divided, operator.sub
+    """P(x^beta) = sum over alpha <= beta of beta! / (beta - alpha)! a_alpha
+    x^(beta - alpha), read straight off the plain coefficients: the falling
+    factorial is an integer applied with the field's ``times``.  This is
+    apply_operator on the monomial x^beta, with no monomial built
+    (apply_operator stays the path for a general f)."""
+    sub = operator.sub
     parts = []
     for alpha, a in P.coeffs.items():
-        k = mi_binomial(beta, alpha) if divided else mi_falling(beta, alpha)
+        k = mi_falling(beta, alpha)
         if k:  # alpha <= beta, so the gap cannot underflow
             parts.append((a.coeffs.items(), (k, 1), tuple(map(sub, beta, alpha))))
     return _combine(P.field, P.dim, parts, rational=True)
@@ -185,33 +177,30 @@ def compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
     """Operator composition P then-applied-after Q.
 
     Leibniz: (a d^alpha)(b d^beta) = sum over gamma <= alpha of
-    C(alpha, gamma) * a * d^gamma(b) * d^(alpha - gamma + beta).
-    The result is truncated at order(P) + order(Q), and is divided-power
-    normalized only when both inputs are.
+    C(alpha, gamma) * a * d^gamma(b) * d^(alpha - gamma + beta), on the
+    plain coefficients of both.  The result is a plain operator, truncated
+    at order(P) + order(Q).
     """
     if P.field != Q.field or P.dim != Q.dim:
         raise ValueError("cannot compose operators over different backends or dimensions")
     field = P.field
     times = field.times
-    divided = P.divided and Q.divided
     parts: dict[MultiIndex, list] = {}
     # d^gamma(b) for each (beta, gamma), computed once and reused for every alpha
     derivatives: dict[tuple[MultiIndex, MultiIndex], list] = {}
-    Pp, Qp = P.to_plain(), Q.to_plain()
-    for alpha, a in Pp.coeffs.items():
+    for alpha, a in P.coeffs.items():
         terms = a.coeffs.items()
-        for beta, b in Qp.coeffs.items():
+        for beta, b in Q.coeffs.items():
             for gamma in mi_box(alpha):
                 derivative = derivatives.get((beta, gamma))
                 if derivative is None:
                     derivative = derivatives[beta, gamma] = list(b.derivative(gamma).coeffs.items())
                 index = tuple(x - y + z for x, y, z in zip(alpha, gamma, beta))
-                # a divided-power result stores alpha! times the plain coefficient
-                weight = (mi_binomial(alpha, gamma) * (mi_factorial(index) if divided else 1), 1)
+                weight = (mi_binomial(alpha, gamma), 1)
                 parts.setdefault(index, []).extend(
                     (terms, times(coeff.q, weight), exponent) for exponent, coeff in derivative)
     acc = {index: _combine(field, P.dim, index_parts) for index, index_parts in parts.items()}
-    return DiffOperator.make(field, P.dim, acc, P.order + Q.order, divided)
+    return DiffOperator.make(field, P.dim, acc, P.order + Q.order)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +384,8 @@ def radius_seminorm(P: DiffOperator, radius_valuation: Rational) -> NormValue:
     """
     r = Fraction(radius_valuation)
     best = NormValue.infinite()
-    for alpha in P.coeffs:
-        v = P.plain_coefficient(alpha).gauss_valuation() + NormValue.of(mi_total(alpha) * r)
+    for alpha, a in P.coeffs.items():
+        v = a.gauss_valuation() + NormValue.of(mi_total(alpha) * r)
         best = min(best, v)
     return best
 
@@ -412,10 +401,10 @@ def _translate_to_center(P: DiffOperator, domain: Polydisc) -> tuple[DiffOperato
     field = P.field
     ones = (field.one(),) * P.dim
     coeffs, sups = {}, {}
-    for alpha in P.coeffs:
-        moved = coeffs[alpha] = P.plain_coefficient(alpha).substitute_affine(domain.center, ones)
+    for alpha, a in P.coeffs.items():
+        moved = coeffs[alpha] = a.substitute_affine(domain.center, ones)
         sups[alpha] = moved.weighted_valuation(*domain.weights)
-    return DiffOperator.make(field, P.dim, coeffs, P.order, divided=False), sups
+    return DiffOperator.make(field, P.dim, coeffs, P.order), sups
 
 
 def _coefficient_side(field: Field, weights: tuple[tuple[int, ...], int],
@@ -510,7 +499,7 @@ def coefficient_decay_report(P: DiffOperator, n: int, operator_id: str = "operat
     dom = Polydisc((field.zero(),) * d, (Fraction(n) * field.pi_valuation,) * d)
     coefficients = []
     for alpha in sorted(P.coeffs):
-        a = P.plain_coefficient(alpha)
+        a = P.coeffs[alpha]
         coefficients.append((alpha, sup_norm(a, dom), a.gauss_valuation()))
     upper, terms = _coefficient_side(field, dom.weights,
                                      {alpha: lhs for alpha, lhs, _ in coefficients})
@@ -653,6 +642,8 @@ def _witnesses_growth(trend: list[Fraction | None], pi_valuation: Fraction) -> b
 
 
 def operator_to_text(P: DiffOperator) -> str:
+    """The operator file of P, in the normalization its coefficients were
+    given in: alpha! a_alpha under ``normalization: divided``."""
     lines = [
         f"dim: {P.dim}",
         f"backend: {P.field.name}",
@@ -660,7 +651,8 @@ def operator_to_text(P: DiffOperator) -> str:
         f"order: {P.order}",
     ]
     for alpha in sorted(P.coeffs):
-        lines.append(f"{','.join(str(a) for a in alpha)} : {poly_to_text(P.coeffs[alpha])}")
+        poly = P.coeffs[alpha].scale(mi_factorial(alpha)) if P.divided else P.coeffs[alpha]
+        lines.append(f"{','.join(str(a) for a in alpha)} : {poly_to_text(poly)}")
     return "\n".join(lines) + "\n"
 
 

@@ -208,9 +208,18 @@ MUTANTS = [
            "            offsets.append(sum(map(operator.mul, gamma, weights)) - shift)\n",
            "            offsets.append(sum(map(operator.mul, gamma, weights)))\n",
            OPERATORS),
-    Mutant("monomial image uses falling factorials for divided operators", "operators.py",
-           "        k = mi_binomial(beta, alpha) if divided else mi_falling(beta, alpha)\n",
-           "        k = mi_falling(beta, alpha)\n",
+    Mutant("make reads divided coefficients without 1/alpha!", "operators.py",
+           "(poly.coeffs.items(), (1, mi_factorial(alpha)), None)",
+           "(poly.coeffs.items(), (1, 1), None)",
+           OPERATORS),
+    Mutant("make divides by alpha_1! instead of alpha!", "operators.py",
+           "(poly.coeffs.items(), (1, mi_factorial(alpha)), None)",
+           "(poly.coeffs.items(), (1, mi_factorial(alpha[:1])), None)",
+           OPERATORS),
+    Mutant("operator_to_text writes divided coefficients without alpha!", "operators.py",
+           "        poly = P.coeffs[alpha].scale(mi_factorial(alpha)) if P.divided "
+           "else P.coeffs[alpha]\n",
+           "        poly = P.coeffs[alpha]\n",
            OPERATORS),
     Mutant("coefficient side without v(alpha!)", "operators.py",
            "        k = sum(map(factorial_valuation, alpha)) * L"

@@ -401,7 +401,7 @@ def disc_cases(draw):
     series = isinstance(scheme.field, HahnField) and draw(st.booleans())
     alpha = draw(st.integers(0, 3 if series else 4))
     center = draw(st.one_of(
-        st.integers(0, alpha + 2).map(scheme.rep_rational_fn),
+        st.integers(0, alpha + 2).map(scheme.rep_rational_fn).map(Fraction),
         st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))))
     if series:
         exponents = draw(st.sets(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)),
@@ -526,11 +526,12 @@ def fraction_fold_setup(fam: RepProductFamily, alpha: int, center, radius_valuat
     if q is not None and q < r:
         r = q
     if r == 0 and integral(c):
-        reps = sorted(fam.scheme.rep_rational_fn(beta) for beta in range(alpha + 1))
+        reps = sorted(Fraction(fam.scheme.rep_rational_fn(beta)) for beta in range(alpha + 1))
         c = (reps[0] + reps[-1]) / 2
         if not (integral(c) and all(a + b == 2 * c for a, b in zip(reps, reversed(reps)))):
             c = reps[alpha // 2]
-    roots = [(fam.scheme.rep_rational_fn(beta) - c, alpha * alpha) for beta in range(alpha + 1)]
+    roots = [(Fraction(fam.scheme.rep_rational_fn(beta)) - c, alpha * alpha)
+             for beta in range(alpha + 1)]
     denominators = {mu.denominator for mu, _ in roots if mu}
     scale = denominators.pop() if len(denominators) == 1 else 1
     if not integral(Fraction(1, scale)):

@@ -16,6 +16,7 @@ from nadops.affinoid import (
     mi_sub,
     mi_total,
     mi_up_to_total,
+    poly_to_text,
     rescale_to_subdisc,
     sup_norm,
     unit_polydisc,
@@ -51,7 +52,7 @@ from nadops.operators import (
     translation_invariance_check,
 )
 from nadops.scalars import HahnField, NormValue, PAdicField, format_valuation
-from test_affinoid import random_polydisc
+from test_affinoid import old_derivative, random_polydisc
 
 P2 = PAdicField(2)
 P3 = PAdicField(3)
@@ -93,12 +94,17 @@ def test_apply_multivariate():
     assert apply_operator(P, f) == const(1, dim=2)
 
 
-def test_divided_and_plain_agree_through_to_plain():
+def test_divided_and_plain_agree():
+    # make reads x d^2 / 2! once, as the plain coefficient x / 2 of d^2
     P = DiffOperator.make(P3, 1, {(2,): x_var(P3)}, divided=True)
-    Q = P.to_plain()
-    assert P == Q
+    Q = DiffOperator.make(P3, 1, {(2,): x_var(P3).scale(Fraction(1, 2))})
+    assert P == Q and P.coeffs == Q.coeffs and P.divided and not Q.divided
     f = x_var(P3) ** 4
     assert apply_operator(P, f) == apply_operator(Q, f)
+    # in two variables it divides by alpha! = 1! 3!, and alpha = 0 keeps b
+    b = x_var(P3, 2)
+    R = DiffOperator.make(P3, 2, {(1, 3): b, (0, 0): b}, divided=True)
+    assert R.coeffs == {(1, 3): b.scale(Fraction(1, 6)), (0, 0): b}
 
 
 def test_make_rejects_index_beyond_order():
@@ -158,31 +164,42 @@ def test_compose_coherence_fuzz(seed):
         apply_operator(P, apply_operator(Q, f))
 
 
-# the sums-by-repeated-addition that the summing kernel replaced, kept as its oracle
+# the sums-by-repeated-addition that the summing kernel replaced, kept as its
+# oracle; they read the coefficients as given, so a divided-power operator
+# goes through the divided-power formula, not through make's division
 
 
-def old_apply_operator(P, f):
-    out = SparsePoly.zero(P.field, P.dim)
-    for alpha, a in P.coeffs.items():
-        image = f.derivative(alpha, divided=P.divided)
+def old_apply_operator(given, divided, f):
+    """sum over alpha of b_alpha d^alpha f, or with divided powers of
+    b_alpha d^alpha f / alpha!, whose weights are the binomials C(beta, alpha)."""
+    out = SparsePoly.zero(f.field, f.dim)
+    for alpha, b in given.items():
+        image = old_derivative(f, alpha, divided)
         if not image.is_zero:
-            out = out + a * image
+            out = out + b * image
     return out
 
 
-def old_compose(P, Q):
+def old_compose(p_given, p_divided, q_given, q_divided):
+    """The coefficients and normalization compose returned before it
+    returned plain operators: Leibniz on the plain coefficients b_alpha /
+    alpha! of divided inputs, with the result stored as alpha! times its
+    plain coefficient when both inputs were divided."""
+    def plain(given, divided):
+        return {alpha: b.scale(Fraction(1, mi_factorial(alpha))) if divided else b
+                for alpha, b in given.items()}
+
     acc = {}
-    Pp, Qp = P.to_plain(), Q.to_plain()
-    for alpha, a in Pp.coeffs.items():
-        for beta, b in Qp.coeffs.items():
+    for alpha, a in plain(p_given, p_divided).items():
+        for beta, b in plain(q_given, q_divided).items():
             for gamma in mi_box(alpha):
                 index = mi_add(mi_sub(alpha, gamma), beta)
-                term = (a * b.derivative(gamma)).scale(mi_binomial(alpha, gamma))
+                term = (a * old_derivative(b, gamma)).scale(mi_binomial(alpha, gamma))
                 acc[index] = acc[index] + term if index in acc else term
-    divided = P.divided and Q.divided
+    divided = p_divided and q_divided
     if divided:
         acc = {a: poly.scale(mi_factorial(a)) for a, poly in acc.items()}
-    return DiffOperator.make(P.field, P.dim, acc, P.order + Q.order, divided)
+    return acc, divided
 
 
 def old_symbol_coefficient(oracle, alpha):
@@ -194,30 +211,61 @@ def old_symbol_coefficient(oracle, alpha):
     return acc.scale(Fraction(1, mi_factorial(alpha)))
 
 
-def normalized(P, divided):
-    """P's stored coefficients under the given normalization."""
-    return DiffOperator.make(P.field, P.dim, P.coeffs, P.order, divided)
+def given_coefficients(rng, field, dim, order, degree):
+    """Coefficients as an operator file gives them, in either normalization."""
+    return random_operator(rng, field, dim, order, degree).coeffs
 
 
-@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.booleans(), st.booleans())
+def check_against_old_loops(P, p_given, p_divided, Q, q_given, q_divided, f, beta):
+    # apply, the monomial image and compose of operators made from the given
+    # coefficients read what the formulas on those coefficients read
+    assert apply_operator(P, f) == old_apply_operator(p_given, p_divided, f)
+    assert apply_operator(Q, f) == old_apply_operator(q_given, q_divided, f)
+    monomial = SparsePoly.monomial(P.field, P.dim, beta)
+    assert _monomial_image(P, beta) == old_apply_operator(p_given, p_divided, monomial)
+    C = compose(P, Q)
+    acc, divided = old_compose(p_given, p_divided, q_given, q_divided)
+    assert not C.divided
+    assert C == DiffOperator.make(P.field, P.dim, acc, P.order + Q.order, divided)
+    for alpha, b in p_given.items():
+        assert P.plain_coefficient(alpha) == b.scale(
+            Fraction(1, mi_factorial(alpha)) if p_divided else 1)
+    return C
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.booleans(), st.booleans(),
+       st.data())
 @settings(max_examples=30)
-def test_operator_sums_match_old_loops(seed, dim, p_divided, q_divided):
+def test_operator_sums_match_old_loops(seed, dim, p_divided, q_divided, data):
     rng = random.Random(seed)
-    field = rng.choice([P2, P3, HAHN])
-    P = normalized(random_operator(rng, field, dim, 2, 2), p_divided)
-    Q = normalized(random_operator(rng, field, dim, 2, 2), q_divided)
+    field = rng.choice([P2, P3, P5, HAHN])
+    p_given = given_coefficients(rng, field, dim, 2, 2)
+    q_given = given_coefficients(rng, field, dim, 2, 2)
+    P = DiffOperator.make(field, dim, p_given, 2, p_divided)
+    Q = DiffOperator.make(field, dim, q_given, 2, q_divided)
     f = random_poly(rng, field, dim, 3)
-    assert apply_operator(P, f) == old_apply_operator(P, f)
-    assert apply_operator(Q, f) == old_apply_operator(Q, f)
-    C, old = compose(P, Q), old_compose(P, Q)
-    assert C.divided == old.divided == (p_divided and q_divided)
-    assert C.coeffs == old.coeffs
+    beta = tuple(data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim)))
+    C = check_against_old_loops(P, p_given, p_divided, Q, q_given, q_divided, f, beta)
     oracle = EndoOracle.from_operator(C)
     for alpha in mi_up_to_total(dim, C.order):
         assert symbol_coefficient(oracle, alpha) == old_symbol_coefficient(oracle, alpha)
-    for alpha in P.coeffs:
-        assert P.plain_coefficient(alpha) == P.coeffs[alpha].scale(
-            Fraction(1, mi_factorial(alpha)) if p_divided else 1)
+
+
+@pytest.mark.parametrize("field", [P2, P3, P5, HAHN], ids=lambda field: field.name)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.data())
+@settings(max_examples=25)
+def test_divided_operators_match_the_divided_power_formula(field, seed, dim, data):
+    # both operators divided, up to order 3, where alpha! is even: make
+    # divides each b_alpha by alpha! once, and the calculus on the plain
+    # coefficients agrees with the C(beta, alpha) weights on the given ones
+    rng = random.Random(seed)
+    p_given = given_coefficients(rng, field, dim, 3, 2)
+    q_given = given_coefficients(rng, field, dim, 2, 2)
+    P = DiffOperator.make(field, dim, p_given, 3, divided=True)
+    Q = DiffOperator.make(field, dim, q_given, 2, divided=True)
+    f = random_poly(rng, field, dim, 4)
+    beta = tuple(data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)))
+    check_against_old_loops(P, p_given, True, Q, q_given, True, f, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +828,12 @@ def test_operator_text_roundtrip_examples():
     P = DiffOperator.make(P2, 1, {(1,): x_var(), (2,): const(16)}, order=3)
     assert operator_from_text(operator_to_text(P)) == P
     t = HAHN.uniformizer()
-    Q = DiffOperator.make(HAHN, 2, {(1, 0): SparsePoly.constant(HAHN, 2, t)},
+    b = SparsePoly.variable(HAHN, 2, 1).scale(t)
+    Q = DiffOperator.make(HAHN, 2, {(1, 0): SparsePoly.constant(HAHN, 2, t), (2, 1): b},
                           divided=True)
     assert operator_from_text(operator_to_text(Q)) == Q
+    # a divided file is written back as given, alpha! a_alpha = b
+    assert operator_to_text(Q).endswith(f"\n2,1 : {poly_to_text(b)}\n")
 
 
 def test_operator_text_roundtrip_fuzz():

@@ -8,7 +8,8 @@ the suite and of the pinned reports below have not moved.  The operator-file
 reports run on the fixed 2-variable operators in ``OPERATOR_FILES``, written
 into the working directory of the run, so the path they echo is fixed too.
 The same operators show that ``norms`` substitutes each coefficient into its
-polydisc once, and divides each divided-power coefficient by alpha! once.
+polydisc once, and that a run divides each divided-power coefficient by
+alpha! once, when ``DiffOperator.make`` reads the file.
 """
 
 import ast
@@ -22,7 +23,7 @@ import pytest
 
 import nadops
 from nadops import operators
-from nadops.affinoid import SparsePoly
+from nadops.affinoid import SparsePoly, mi_factorial
 from nadops.cli import main
 
 PACKAGE = Path(nadops.__file__).parent
@@ -163,6 +164,13 @@ SEEDED_ROUNDTRIP_ARGVS = [
     ["roundtrip", "--backend", "hahn", "--count", "20", "--seed", "5"],
 ]
 
+# roundtrips of the divided-power operator files: every expected and
+# recovered coefficient is the plain one, b_alpha / alpha!
+DIVIDED_ROUNDTRIP_ARGVS = [
+    ["roundtrip", "--backend", "p=2", "--operator", "p2.op"],
+    ["roundtrip", "--backend", "hahn", "--operator", "hahn.op"],
+]
+
 # claim 1 on the Hahn rational scheme, both modes at the defaults; and discs
 # about centres off the representatives on p=3 and p=5, whose roots share a
 # unit denominator that the fold clears
@@ -188,7 +196,8 @@ ERROR_ARGVS = [[], ["bogus"], ["roundtrip", "--bogus"]]
 # series-center disc, claim 2, the symmetric discs, the discs about
 # unit-denominator centers, the reports at large radius valuations, the
 # reports about zero centre coordinates, the seeded roundtrips, the
-# reports off the representatives, the help texts and the errors;
+# roundtrips of the divided operator files, the reports off the
+# representatives, the help texts and the errors;
 # together they print rationals and Hahn exponents of every shape the
 # reports use
 PINNED_SHA256 = {
@@ -282,6 +291,10 @@ PINNED_SHA256 = {
         "744a687ec37489637704eebfe3f2bb4e1878f8f20f1ae795be0cdd92b8ba6177",
     tuple(SEEDED_ROUNDTRIP_ARGVS[1]):
         "25c6a8acd982b4a3da88993349560f769711d22ba9efca45be18398302e29274",
+    tuple(DIVIDED_ROUNDTRIP_ARGVS[0]):
+        "ec17aaf089b9b0f90a0e1f739bcdd46b6d83c13e625c86299aae2654503e3c65",
+    tuple(DIVIDED_ROUNDTRIP_ARGVS[1]):
+        "3c664cc7bf66eb35cd0f167e4572f0e5b5f1a52ebc5d759d57e85efa5be05580",
     tuple(OFF_REPRESENTATIVE_ARGVS[0]):
         "39ceb9c4df4dae89ba7fc5d558c7dcb048d8ab63348415cab759235f99cfb273",
     tuple(OFF_REPRESENTATIVE_ARGVS[1]):
@@ -347,6 +360,7 @@ def test_no_assert_statements(name):
     *LARGE_RADIUS_ARGVS,
     *ZERO_CENTRE_ARGVS,
     *SEEDED_ROUNDTRIP_ARGVS,
+    *DIVIDED_ROUNDTRIP_ARGVS,
     *OFF_REPRESENTATIVE_ARGVS,
 ])
 def test_counterexample_report_is_the_same_under_optimize(argv, tmp_path):
@@ -405,20 +419,25 @@ def test_norms_substitutes_each_coefficient_once(backend, path, domain, tmp_path
                          [case for case in OPERATOR_CASES if case[1] in ("p2.op", "hahn.op")])
 def test_norms_divides_each_coefficient_by_its_factorial_once(backend, path, domain, tmp_path,
                                                              monkeypatch, capsys):
-    # the rows, the bracket and the seminorm read one plain operator; a
-    # divided-power coefficient is divided by alpha! only when a divided
-    # operator gives its plain coefficient
+    # make divides each b_alpha by alpha! as it reads the file, one sum of
+    # one part scaled by (1, alpha!); the rows, the bracket and the
+    # seminorm read the plain coefficients it stored, and divide nothing
     (tmp_path / path).write_text(OPERATOR_FILES[path], encoding="utf-8")
-    real = operators.DiffOperator.plain_coefficient
+    real = operators._combine
     divisions = []
 
-    def counted(self, alpha):
-        divisions.append(self.divided)
-        return real(self, alpha)
+    def counted(field, dim, parts, rational=False):
+        parts = list(parts)
+        if rational and len(parts) == 1 and parts[0][2] is None:
+            divisions.append(parts[0][1])
+        return real(field, dim, parts, rational)
 
-    monkeypatch.setattr(operators.DiffOperator, "plain_coefficient", counted)
+    monkeypatch.setattr(operators, "_combine", counted)
     code = main(["norms", "--backend", backend, "--operator", str(tmp_path / path),
                  "--domain", domain])
     capsys.readouterr()
     assert code == 0
-    assert divisions.count(True) == 4  # one per coefficient
+    indices = [tuple(int(a) for a in line.split(":")[0].split(","))
+               for line in OPERATOR_FILES[path].splitlines()[4:]]
+    assert len(divisions) == 4  # one per coefficient
+    assert sorted(divisions) == sorted((1, mi_factorial(alpha)) for alpha in indices)
